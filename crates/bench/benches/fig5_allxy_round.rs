@@ -71,13 +71,7 @@ fn bench(c: &mut Criterion) {
         })
         .expect("session");
         let program = session.load_assembly(ROUND).expect("round assembles");
-        let plan = session.seed_plan();
-        let mut i = 0u64;
-        b.iter(|| {
-            let seeds = plan.shot(i);
-            i += 1;
-            black_box(session.run_shot(&program, seeds).expect("runs"))
-        })
+        b.iter(|| black_box(session.run_shots(&program, 1).expect("runs")))
     });
     g.finish();
 }

@@ -7,7 +7,7 @@
 //!   pre-pool reality this repo's drivers lived in: "every experiment
 //!   owns a whole `Session`"): build its own `Session` — a full device
 //!   calibration, pulse-library synthesis and all — then push its job
-//!   through `run_shots_parallel`. C clients → C calibrations, run
+//!   through a sharded `run_batch`. C clients → C calibrations, run
 //!   back-to-back;
 //! * `multi_client` — the same C jobs submitted concurrently to a
 //!   `DevicePool`, which serves every job from a warm pristine-device
@@ -19,7 +19,7 @@
 //!   concurrent clients, since a `Session` is `&mut self`).
 //!
 //! The acceptance criterion from the roadmap: pooled multi-client
-//! throughput ≥ the single-client `run_shots_parallel` baseline on the
+//! throughput ≥ the single-client sharded `run_batch` baseline on the
 //! same workload (both medians land in the bench trajectory via
 //! `QUMA_BENCH_JSON`). Every mode produces bit-identical per-job results
 //! — `crates/pool/tests/differential.rs` pins that; this file only races
@@ -68,23 +68,26 @@ fn client_plan(client: u64) -> SeedPlan {
 fn solo_client_job(client: u64) {
     let mut session = Session::new(config()).expect("session");
     session.set_seed_plan(client_plan(client));
-    let loaded = session.load_assembly(SHOT).expect("assembles");
     black_box(
         session
-            .run_shots_parallel(&loaded, SHOTS_PER_JOB, 0)
+            .run_batch(&job_batch(&session), 0)
             .expect("batch runs"),
     );
 }
 
+/// One client's job as an engine batch: `SHOTS_PER_JOB` shots of `SHOT`.
+fn job_batch(session: &Session) -> Batch {
+    Batch::Shots {
+        program: session.load_assembly(SHOT).expect("assembles"),
+        shots: SHOTS_PER_JOB,
+    }
+}
+
 /// The same job on a shared pre-warmed session (reference bound).
-fn shared_session_job(session: &mut Session, loaded: &LoadedProgram, client: u64) {
+fn shared_session_job(session: &mut Session, batch: &Batch, client: u64) {
     session.set_seed_plan(client_plan(client));
     session.reset_shot_counter();
-    black_box(
-        session
-            .run_shots_parallel(loaded, SHOTS_PER_JOB, 0)
-            .expect("batch runs"),
-    );
+    black_box(session.run_batch(batch, 0).expect("batch runs"));
 }
 
 /// Submits the whole C-client workload to `pool` and waits it out.
@@ -158,10 +161,10 @@ fn print_throughput_table() {
 
     // Reference: one warm session, no serving layer (single-tenant only).
     let mut session = Session::new(config()).expect("session");
-    let loaded = session.load_assembly(SHOT).expect("assembles");
+    let batch = job_batch(&session);
     let t0 = Instant::now();
     for client in 0..CLIENTS {
-        shared_session_job(&mut session, &loaded, client);
+        shared_session_job(&mut session, &batch, client);
     }
     report("shared_session (reference)", t0.elapsed().as_secs_f64());
     println!("(per-job results are bit-identical across all modes)\n");
@@ -281,10 +284,10 @@ fn bench(c: &mut Criterion) {
     // layer (unreachable by concurrent clients — `Session` is `&mut`).
     g.bench_function("shared_session", |b| {
         let mut session = Session::new(config()).expect("session");
-        let loaded = session.load_assembly(SHOT).expect("assembles");
+        let batch = job_batch(&session);
         b.iter(|| {
             for client in 0..CLIENTS {
-                shared_session_job(&mut session, &loaded, client);
+                shared_session_job(&mut session, &batch, client);
             }
         })
     });

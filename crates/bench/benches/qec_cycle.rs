@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use quma_compiler::prelude::{InjectedX, RepetitionCode};
-use quma_core::prelude::{ChipProfile, DeviceConfig, Session, TraceLevel};
+use quma_core::prelude::{Batch, ChipProfile, DeviceConfig, Session, TraceLevel};
 use std::hint::black_box;
 
 fn device_config(distance: usize) -> DeviceConfig {
@@ -45,18 +45,10 @@ fn bench(c: &mut Criterion) {
             let program = code(distance, rounds).compile();
             let mut session = Session::new(session_cfg.clone()).expect("session");
             let loaded = session.load(&program);
-            let plan = session.seed_plan();
-            let mut i = 0u64;
             g.bench_with_input(
                 BenchmarkId::new(format!("shot_d{distance}"), format!("r{rounds}")),
                 &rounds,
-                |b, _| {
-                    b.iter(|| {
-                        let seeds = plan.shot(i);
-                        i += 1;
-                        black_box(session.run_shot(&loaded, seeds).expect("shot runs"))
-                    })
-                },
+                |b, _| b.iter(|| black_box(session.run_shots(&loaded, 1).expect("shot runs"))),
             );
         }
     }
@@ -70,16 +62,13 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(session.run_shots(&loaded, 16).expect("batch")))
         });
         let mut session = Session::new(device_config(distance)).expect("session");
-        let loaded = session.load(&program);
+        let batch = Batch::Shots {
+            program: session.load(&program),
+            shots: 16,
+        };
         let threads = std::thread::available_parallelism().map_or(4, |n| n.get().min(8));
         g.bench_function(BenchmarkId::new("batch16_parallel_d", distance), |b| {
-            b.iter(|| {
-                black_box(
-                    session
-                        .run_shots_parallel(&loaded, 16, threads)
-                        .expect("parallel batch"),
-                )
-            })
+            b.iter(|| black_box(session.run_batch(&batch, threads).expect("parallel batch")))
         });
     }
     g.finish();
@@ -96,32 +85,18 @@ fn bench_stabilizer(c: &mut Criterion) {
         let program = code(distance, 1).compile();
         let mut session = Session::new(stabilizer_config(distance)).expect("session");
         let loaded = session.load(&program);
-        let plan = session.seed_plan();
-        let mut i = 0u64;
         g.bench_with_input(
             BenchmarkId::new(format!("shot_d{distance}"), "r1"),
             &distance,
-            |b, _| {
-                b.iter(|| {
-                    let seeds = plan.shot(i);
-                    i += 1;
-                    black_box(session.run_shot(&loaded, seeds).expect("shot runs"))
-                })
-            },
+            |b, _| b.iter(|| black_box(session.run_shots(&loaded, 1).expect("shot runs"))),
         );
     }
 
     let program = code(7, 1000).compile();
     let mut session = Session::new(stabilizer_config(7)).expect("session");
     let loaded = session.load(&program);
-    let plan = session.seed_plan();
-    let mut i = 0u64;
     g.bench_function("long_d7_r1000", |b| {
-        b.iter(|| {
-            let seeds = plan.shot(i);
-            i += 1;
-            black_box(session.run_shot(&loaded, seeds).expect("shot runs"))
-        })
+        b.iter(|| black_box(session.run_shots(&loaded, 1).expect("shot runs")))
     });
     g.finish();
 }

@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use quma_compiler::prelude::{InjectedX, RepetitionCode};
-use quma_core::prelude::{DeviceConfig, Session, TraceLevel};
+use quma_core::prelude::{Batch, DeviceConfig, Session, TraceLevel};
 use std::hint::black_box;
 
 const DISTANCE: usize = 3;
@@ -34,19 +34,14 @@ fn bench(c: &mut Criterion) {
 
     for threads in [1usize, 2, 4, 8] {
         let mut session = Session::new(device_config()).expect("session");
-        let loaded = session.load(&program);
+        let batch = Batch::Shots {
+            program: session.load(&program),
+            shots: SHOTS,
+        };
         g.bench_with_input(
             BenchmarkId::new("batch16_d3_t", threads),
             &threads,
-            |b, &t| {
-                b.iter(|| {
-                    black_box(
-                        session
-                            .run_shots_parallel(&loaded, SHOTS, t)
-                            .expect("parallel batch"),
-                    )
-                })
-            },
+            |b, &t| b.iter(|| black_box(session.run_batch(&batch, t).expect("parallel batch"))),
         );
     }
     g.finish();

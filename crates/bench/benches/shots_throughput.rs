@@ -70,12 +70,12 @@ fn print_throughput_table() {
     });
     let mut session = Session::new(config()).expect("session");
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get().min(8));
+    let batch = Batch::Shots {
+        program: loaded,
+        shots: SHOTS,
+    };
     shots_per_second("parallel_batch", SHOTS, || {
-        black_box(
-            session
-                .run_shots_parallel(&loaded, SHOTS, threads)
-                .expect("parallel batch"),
-        );
+        black_box(session.run_batch(&batch, threads).expect("parallel batch"));
     });
     println!("(all three modes produce bit-identical per-shot results)\n");
 }
@@ -106,25 +106,17 @@ fn bench(c: &mut Criterion) {
     g.bench_function("session_batch", |b| {
         let mut session = Session::new(config()).expect("session");
         let loaded = session.load(&program);
-        let mut i = 0u64;
-        b.iter(|| {
-            let seeds = plan.shot(i);
-            i += 1;
-            black_box(session.run_shot(&loaded, seeds).expect("runs"))
-        })
+        b.iter(|| black_box(session.run_shots(&loaded, 1).expect("runs")))
     });
 
     g.bench_function("parallel_batch_32", |b| {
         let mut session = Session::new(config()).expect("session");
-        let loaded = session.load(&program);
+        let batch = Batch::Shots {
+            program: session.load(&program),
+            shots: 32,
+        };
         let threads = std::thread::available_parallelism().map_or(4, |n| n.get().min(8));
-        b.iter(|| {
-            black_box(
-                session
-                    .run_shots_parallel(&loaded, 32, threads)
-                    .expect("batch"),
-            )
-        })
+        b.iter(|| black_box(session.run_batch(&batch, threads).expect("batch")))
     });
     g.finish();
 }

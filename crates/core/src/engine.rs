@@ -7,25 +7,25 @@
 //! engine layer separates the two costs:
 //!
 //! * [`Session`] owns a calibrated device and keeps it alive across shots;
-//! * [`Session::load`] assembles/validates a program once into a
-//!   [`LoadedProgram`] that batches reuse;
-//! * [`Session::run_shot`] / [`Session::run_shots`] / [`Session::run_sweep`]
-//!   execute batches with a cheap per-shot reset ([`Device::reseed`] plus
-//!   the ordinary run reset) instead of reconstruction;
-//! * [`Session::run_shots_parallel`] shards a batch across a
-//!   **persistent worker pool** owned by the session: workers are
-//!   spawned lazily on the first parallel call and reused across
-//!   batches, each keeping its device clone warm (re-cloned only after
-//!   [`Session::device_mut`] touches the owned device). Items are
-//!   dealt in contiguous blocks and every worker fills its own result
-//!   vector, so batches pay neither per-call thread spawns, per-call
-//!   device clones, nor false sharing — while per-item seeds keep the
-//!   results bit-identical to the sequential batch;
-//! * [`Session::load_template`] / [`Session::run_template_sweep`] /
-//!   [`Session::run_template_sweep_parallel`] drive compile-once
-//!   [`ProgramTemplate`]s the way real control stacks drive hardware:
-//!   upload once, rewrite immediate fields per sweep point (O(1) per
-//!   axis) instead of re-assembling a program per point.
+//! * [`Session::load`] / [`Session::load_assembly`] prepare a program once
+//!   for repeated execution;
+//! * [`Session::run_batch`] is the one batch entry point: a [`Batch`] is
+//!   derived-seed shots of one program, a program sweep with explicit
+//!   per-point seeds, or a sweep of a compile-once
+//!   [`quma_isa::template::ProgramTemplate`] that rewrites immediate fields
+//!   per point (O(1) per axis) instead of re-assembling — the way real
+//!   control stacks drive hardware. Every item reseeds the device and
+//!   runs with the ordinary run reset instead of a reconstruction.
+//!   With one thread the items run inline on the owned device; with more
+//!   they are dealt in contiguous blocks to a **persistent worker pool**
+//!   owned by the session: workers are spawned lazily on the first
+//!   parallel batch and reused across batches, each keeping its device
+//!   clone warm (re-cloned only after [`Session::device_mut`] touches the
+//!   owned device), and every worker fills its own result vector — no
+//!   per-call thread spawns, device clones or false sharing, while
+//!   per-item seeds keep the results bit-identical to the inline run;
+//! * [`Session::run`] runs a program once without reseeding and
+//!   [`Session::run_shots`] is the inline shot batch.
 //!
 //! Determinism contract: shot `i` of a batch is bit-identical to a freshly
 //! built device whose config carries the seeds of [`SeedPlan::shot`]`(i)`
@@ -35,8 +35,8 @@ use crate::config::DeviceConfig;
 use crate::device::{Device, DeviceError, RunReport};
 use crossbeam::channel;
 use quma_isa::prelude::Program;
-use quma_isa::template::{PatchError, ProgramTemplate};
 use quma_obs::trace::{now_ns, SpanEvent, SpanKind, TraceBuffer, TraceId};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The two per-shot random seeds: the chip's projection/readout RNG and
@@ -80,10 +80,10 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
 /// Resolves a requested worker-thread count against the amount of work:
 /// `0` means "use [`std::thread::available_parallelism`]" (falling back
 /// to 1 if the parallelism query fails), and the result is clamped to
-/// `1..=items` so no worker ever starts with nothing to do. Every
-/// parallel entry point on [`Session`] resolves its `threads` argument
-/// through this function, so `threads == 0` is the portable "auto"
-/// spelling everywhere.
+/// `1..=items` so no worker ever starts with nothing to do.
+/// [`Session::run_batch`] resolves its `threads` argument through this
+/// function, so `threads == 0` is the portable "auto" spelling
+/// everywhere.
 pub fn resolve_threads(threads: usize, items: usize) -> usize {
     let requested = if threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -152,7 +152,7 @@ fn spawn_engine_worker() -> EngineWorker {
 /// worker appends into its own result vector — no shared result
 /// cache lines, and block concatenation preserves item order for free.
 /// On failure the *lowest-item-index* error is returned — the same
-/// error the sequential loop's early return would surface, since every
+/// error the inline loop's early return would surface, since every
 /// item before it succeeds identically on both paths.
 #[derive(Default)]
 struct WorkerPool {
@@ -169,7 +169,7 @@ impl WorkerPool {
     }
 
     /// Runs `items` units across `workers` threads and returns the
-    /// reports in item order. `make_worker(t)` builds worker `t`'s item
+    /// reports in item order. `make_worker()` builds each worker's item
     /// closure on the caller's thread (capturing `Arc`-shared points, a
     /// working program copy, …); the closure receives the worker's warm
     /// device and the item index.
@@ -179,7 +179,7 @@ impl WorkerPool {
         items: usize,
         device: &Device,
         generation: u64,
-        mut make_worker: impl FnMut(usize) -> W,
+        mut make_worker: impl FnMut() -> W,
     ) -> Result<Vec<RunReport>, DeviceError>
     where
         W: FnMut(&mut Device, usize) -> Result<RunReport, DeviceError> + Send + 'static,
@@ -196,7 +196,7 @@ impl WorkerPool {
                 Some(device.clone())
             };
             worker.generation = Some(generation);
-            let mut work = make_worker(t);
+            let mut work = make_worker();
             let task: EngineTask = Box::new(move |slot| {
                 if let Some(fresh) = refresh {
                     *slot = Some(fresh);
@@ -250,9 +250,9 @@ impl Drop for WorkerPool {
 /// Rejects template sweeps whose points patch different axis sets (see
 /// [`TemplatePoint::patches`]): a skipped axis would inherit
 /// worker-dependent state, breaking sequential == parallel. Exposed so
-/// higher layers that drive template points themselves (e.g. the
-/// experiment harness's hook-aware sequential loop) enforce the same
-/// rule instead of copying it.
+/// higher layers that run a template batch in slices (e.g. the
+/// experiment harness's per-point hook loop) enforce the same rule on
+/// the whole sweep instead of copying it.
 pub fn validate_axis_sets(points: &[TemplatePoint]) -> Result<(), DeviceError> {
     let Some(first) = points.first() else {
         return Ok(());
@@ -322,41 +322,6 @@ impl LoadedProgram {
     }
 }
 
-/// A template prepared for patch-per-point sweeps: the pristine program
-/// shared behind an [`Arc`] (cloning a `LoadedTemplate` for a worker
-/// shard copies a pointer plus one working program), and a private
-/// working copy whose slots are rewritten in place — no re-assembly, no
-/// re-encode of anything but the touched immediates.
-#[derive(Debug, Clone)]
-pub struct LoadedTemplate {
-    base: Arc<Program>,
-    working: Program,
-}
-
-impl LoadedTemplate {
-    /// The pristine template program (as compiled; never patched).
-    pub fn base(&self) -> &Program {
-        &self.base
-    }
-
-    /// The working copy in its current patch state.
-    pub fn working(&self) -> &Program {
-        &self.working
-    }
-
-    /// Patches every slot named `name` in the working copy; O(1) per
-    /// site.
-    pub fn patch(&mut self, name: &str, value: i64) -> Result<usize, PatchError> {
-        self.working.patch(name, value)
-    }
-
-    /// Restores the working copy to the pristine template (a full program
-    /// copy — only needed to *undo* patches, never between sweep points).
-    pub fn reset(&mut self) {
-        self.working = (*self.base).clone();
-    }
-}
-
 /// One point of a template sweep: the axis values to patch and the shot
 /// seeds to run with.
 #[derive(Debug, Clone, PartialEq)]
@@ -371,15 +336,118 @@ pub struct TemplatePoint {
     pub seeds: ShotSeeds,
 }
 
-/// A batch of completed shots, in shot order.
+/// One batch for [`Session::run_batch`]: the three kinds of work the
+/// engine runs. Cloning a batch copies pointers, never programs or
+/// points.
+#[derive(Debug, Clone)]
+pub enum Batch {
+    /// `shots` shots of one program, seeded from the session's seed plan
+    /// at its shot counter: successive batches continue the seed sequence
+    /// (shot `i` of the session's lifetime uses `seed_plan().shot(i)`).
+    Shots {
+        /// The program.
+        program: LoadedProgram,
+        /// Number of shots.
+        shots: u64,
+    },
+    /// A program sweep: each point is a prepared program with its own
+    /// shot seeds.
+    Sweep(Arc<[(LoadedProgram, ShotSeeds)]>),
+    /// A patch-per-point template sweep: before each point, the named
+    /// slots of a working copy of `program` are rewritten in place (O(1)
+    /// per axis — no re-assembly, no program rebuild). Patches applied
+    /// to `program` before the sweep (fixing a non-swept axis) hold for
+    /// every point. Every point must patch the same set of axes (see
+    /// [`validate_axis_sets`]).
+    Template {
+        /// The template program in its pre-sweep patch state.
+        program: Arc<Program>,
+        /// The points, in order.
+        points: Arc<[TemplatePoint]>,
+    },
+}
+
+impl Batch {
+    /// Number of items: shots or sweep points.
+    pub fn len(&self) -> usize {
+        match self {
+            Batch::Shots { shots, .. } => *shots as usize,
+            Batch::Sweep(points) => points.len(),
+            Batch::Template { points, .. } => points.len(),
+        }
+    }
+
+    /// True when the batch has no items.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Items `range` as a batch of their own. Sweep points keep their
+    /// seeds and every template point patches the same axes, so running
+    /// the slices of a batch in order reproduces the whole batch; a
+    /// `Shots` slice keeps only its length, because shot seeds always
+    /// continue the session's shot counter.
+    pub fn slice(&self, range: Range<usize>) -> Batch {
+        if range == (0..self.len()) {
+            return self.clone();
+        }
+        match self {
+            Batch::Shots { program, .. } => Batch::Shots {
+                program: program.clone(),
+                shots: range.len() as u64,
+            },
+            Batch::Sweep(points) => Batch::Sweep(points[range].into()),
+            Batch::Template { program, points } => Batch::Template {
+                program: Arc::clone(program),
+                points: points[range].into(),
+            },
+        }
+    }
+
+    /// The per-item closure every batch path runs: item `i` patches the
+    /// working program (template sweeps), reseeds, then runs — in that
+    /// order, so a report depends only on the item, never on which
+    /// device ran the items before it. `first_shot` is the session's
+    /// shot counter for `Shots` batches.
+    fn item_runner(
+        &self,
+        plan: SeedPlan,
+        first_shot: u64,
+    ) -> impl FnMut(&mut Device, usize) -> Result<RunReport, DeviceError> + Send + 'static {
+        let batch = self.clone();
+        // A template sweep's working copy, forked from the pre-sweep
+        // program on the first item this closure runs.
+        let mut working: Option<Program> = None;
+        move |device: &mut Device, i: usize| {
+            let (seeds, program) = match &batch {
+                Batch::Shots { program, .. } => {
+                    (plan.shot(first_shot + i as u64), program.program())
+                }
+                Batch::Sweep(points) => (points[i].1, points[i].0.program()),
+                Batch::Template { program, points } => {
+                    let working = working.get_or_insert_with(|| (**program).clone());
+                    for (name, value) in &points[i].patches {
+                        working.patch(name, *value)?;
+                    }
+                    (points[i].seeds, &*working)
+                }
+            };
+            device.reseed(seeds.chip, seeds.jitter);
+            device.run(program)
+        }
+    }
+}
+
+/// A completed batch: one report per item (shot or sweep point), in
+/// item order.
 #[derive(Debug, Clone)]
 pub struct BatchReport {
-    /// One report per shot, index-aligned with the seed plan.
+    /// One report per item, index-aligned with the batch.
     pub shots: Vec<RunReport>,
 }
 
 impl BatchReport {
-    /// Number of shots.
+    /// Number of reports.
     pub fn len(&self) -> usize {
         self.shots.len()
     }
@@ -550,8 +618,7 @@ impl Session {
     }
 
     /// Number of batch shot indices consumed so far; the next
-    /// [`Session::run_shots`] / [`Session::run_shots_parallel`] batch
-    /// starts its seed derivation here.
+    /// [`Batch::Shots`] batch starts its seed derivation here.
     pub fn shots_run(&self) -> u64 {
         self.next_shot
     }
@@ -583,18 +650,6 @@ impl Session {
         }
     }
 
-    /// Prepares a template for patch-per-point sweeps: one program copy
-    /// for the working state, the pristine original shared behind an
-    /// [`Arc`]. After loading, a whole sweep costs O(1)-word patches per
-    /// point — no assembler, no program reconstruction.
-    pub fn load_template(&self, template: &ProgramTemplate) -> LoadedTemplate {
-        let base = Arc::new(template.program().clone());
-        LoadedTemplate {
-            working: (*base).clone(),
-            base,
-        }
-    }
-
     /// Assembles source into a [`LoadedProgram`] once; batches then skip
     /// the assembler entirely.
     pub fn load_assembly(&self, source: &str) -> Result<LoadedProgram, DeviceError> {
@@ -610,234 +665,61 @@ impl Session {
         self.device.run(&program.program)
     }
 
-    /// Runs one shot with explicit seeds: cheap per-shot reset (reseed +
-    /// architectural clear), no reconstruction.
-    pub fn run_shot(
-        &mut self,
-        program: &LoadedProgram,
-        seeds: ShotSeeds,
-    ) -> Result<RunReport, DeviceError> {
-        self.device.reseed(seeds.chip, seeds.jitter);
-        self.device.run(&program.program)
-    }
-
-    /// Runs `shots` shots sequentially with seeds derived from the
-    /// session's seed plan, continuing from where the previous batch left
-    /// off (shot `i` of the session's lifetime uses `seed_plan().shot(i)`).
-    /// The shot counter advances only when the whole batch succeeds, so a
-    /// retried batch replays the same seed indices — matching
-    /// [`Session::run_shots_parallel`] on the error path too.
+    /// Runs `shots` shots inline with seeds derived from the session's
+    /// seed plan, continuing from where the previous batch left off: a
+    /// [`Batch::Shots`] run on one thread.
     pub fn run_shots(
         &mut self,
         program: &LoadedProgram,
         shots: u64,
     ) -> Result<BatchReport, DeviceError> {
-        let plan = self.seed_plan();
-        let first = self.next_shot;
-        let t0 = now_ns();
-        let mut reports = Vec::with_capacity(shots as usize);
-        for i in first..first + shots {
-            reports.push(self.run_shot(program, plan.shot(i))?);
-        }
-        self.next_shot = first + shots;
-        self.span_batch(t0, shots, 0);
-        Ok(BatchReport { shots: reports })
+        self.run_batch(
+            &Batch::Shots {
+                program: program.clone(),
+                shots,
+            },
+            1,
+        )
     }
 
-    /// Runs a sweep: each point is a prepared program with its own shot
-    /// seeds, executed back-to-back on the one calibrated device.
-    pub fn run_sweep(
-        &mut self,
-        points: &[(LoadedProgram, ShotSeeds)],
-    ) -> Result<Vec<RunReport>, DeviceError> {
-        let t0 = now_ns();
-        let reports = points
-            .iter()
-            .map(|(program, seeds)| self.run_shot(program, *seeds))
-            .collect();
-        self.span_batch(t0, points.len() as u64, 0);
-        reports
-    }
-
-    /// Dispatches `items` units onto the session's persistent worker
-    /// pool: resolves the thread count, hands stale workers a fresh
-    /// device clone, and deals contiguous item blocks. All parallel
-    /// entry points funnel through here.
-    fn run_pooled<W>(
-        &mut self,
-        threads: usize,
-        items: usize,
-        make_worker: impl FnMut(usize) -> W,
-    ) -> Result<Vec<RunReport>, DeviceError>
-    where
-        W: FnMut(&mut Device, usize) -> Result<RunReport, DeviceError> + Send + 'static,
-    {
-        if items == 0 {
-            return Ok(Vec::new());
+    /// Runs a batch — the engine's one entry point for reseeded shots —
+    /// and returns one report per item, in item order.
+    ///
+    /// `threads` resolves through [`resolve_threads`] (`0` = one worker
+    /// per available core). At 1 the items run inline on the owned
+    /// device, which is left at the last item's RNG position. Above 1
+    /// they are dealt in contiguous blocks to the session's persistent
+    /// workers, each on its warm clone of the device, and only the clones
+    /// run. Both paths give bit-identical reports, and a failing batch
+    /// returns the error of its lowest failing item, as the inline loop's
+    /// early return does. A [`Batch::Shots`] batch advances the shot
+    /// counter only when the whole batch succeeds, so a retried batch
+    /// replays the same seed indices. A template sweep whose points patch
+    /// different axis sets is rejected before anything runs. Records one
+    /// `shot_batch` span when a tracer is attached.
+    pub fn run_batch(&mut self, batch: &Batch, threads: usize) -> Result<BatchReport, DeviceError> {
+        if let Batch::Template { points, .. } = batch {
+            validate_axis_sets(points)?;
         }
+        let items = batch.len();
         let workers = resolve_threads(threads, items);
+        let (plan, first) = (self.plan, self.next_shot);
         let t0 = now_ns();
-        let reports = self
-            .pool
-            .run(workers, items, &self.device, self.generation, make_worker);
-        self.span_batch(t0, items as u64, workers as u64);
-        reports
-    }
-
-    /// Runs a sweep sharded across `threads` persistent worker threads
-    /// (`0` = one per available core), each on its warm clone of the
-    /// calibrated device; point `i` runs with exactly the seeds of the
-    /// sequential [`Session::run_sweep`], so the reports (returned in
-    /// point order) are bit-identical to it. Like
-    /// [`Session::run_shots_parallel`], only the clones run — the owned
-    /// device's RNG streams stay where they were.
-    ///
-    /// Copies the slice once into a shared `Arc<[_]>`; callers that
-    /// already hold one use [`Session::run_sweep_parallel_shared`] and
-    /// copy nothing. Every point's program is already `Arc`-shared
-    /// inside its [`LoadedProgram`] — no instruction sequence is copied
-    /// anywhere in the fan-out.
-    pub fn run_sweep_parallel(
-        &mut self,
-        points: &[(LoadedProgram, ShotSeeds)],
-        threads: usize,
-    ) -> Result<Vec<RunReport>, DeviceError> {
-        self.run_sweep_parallel_shared(Arc::from(points.to_vec()), threads)
-    }
-
-    /// [`Session::run_sweep_parallel`] over an already-shared point
-    /// list: the workers borrow `points` through the one `Arc`, so the
-    /// fan-out copies no point data at all (the pool's program cache and
-    /// the experiment harness hold their sweeps this way).
-    pub fn run_sweep_parallel_shared(
-        &mut self,
-        points: Arc<[(LoadedProgram, ShotSeeds)]>,
-        threads: usize,
-    ) -> Result<Vec<RunReport>, DeviceError> {
-        self.run_pooled(threads, points.len(), |_| {
-            let points = Arc::clone(&points);
-            move |device: &mut Device, i: usize| {
-                let (program, seeds) = &points[i];
-                device.reseed(seeds.chip, seeds.jitter);
-                device.run(program.program())
-            }
-        })
-    }
-
-    /// Runs a loaded template once with explicit seeds, in its current
-    /// patch state.
-    pub fn run_template(
-        &mut self,
-        template: &LoadedTemplate,
-        seeds: ShotSeeds,
-    ) -> Result<RunReport, DeviceError> {
-        self.device.reseed(seeds.chip, seeds.jitter);
-        self.device.run(template.working())
-    }
-
-    /// Runs a patch-per-point sweep: for each point, rewrites the named
-    /// slots of the template's working copy in place (O(1) per axis — no
-    /// re-assembly, no program rebuild) and runs one shot with the
-    /// point's seeds. Every point must patch the same set of axes; a
-    /// mismatch against point 0 is rejected before anything runs.
-    pub fn run_template_sweep(
-        &mut self,
-        template: &mut LoadedTemplate,
-        points: &[TemplatePoint],
-    ) -> Result<Vec<RunReport>, DeviceError> {
-        validate_axis_sets(points)?;
-        let t0 = now_ns();
-        let mut reports = Vec::with_capacity(points.len());
-        for point in points {
-            for (name, value) in &point.patches {
-                template.patch(name, *value)?;
-            }
-            reports.push(self.run_template(template, point.seeds)?);
+        let reports = if workers == 1 {
+            let mut run_item = batch.item_runner(plan, first);
+            (0..items).map(|i| run_item(&mut self.device, i)).collect()
+        } else {
+            self.pool
+                .run(workers, items, &self.device, self.generation, || {
+                    batch.item_runner(plan, first)
+                })
+        };
+        let fanout = if workers == 1 { 0 } else { workers };
+        self.span_batch(t0, items as u64, fanout as u64);
+        if let (Ok(_), Batch::Shots { shots, .. }) = (&reports, batch) {
+            self.next_shot = first + shots;
         }
-        self.span_batch(t0, points.len() as u64, 0);
-        Ok(reports)
-    }
-
-    /// Runs a template sweep sharded across `threads` persistent worker
-    /// threads (`0` = one per available core). Workers share the point
-    /// list behind an [`Arc`] and fork their per-worker program from the
-    /// template's *current working state* (one clone per worker, not per
-    /// point), so patches applied before the sweep — e.g. fixing a
-    /// non-swept axis — are honored exactly as in the sequential
-    /// [`Session::run_template_sweep`]. Point `i` runs with the same
-    /// program state and seeds as in the sequential sweep, so the
-    /// reports (in point order) are bit-identical to it.
-    ///
-    /// Copies the slice once into a shared `Arc<[_]>`; callers that
-    /// already hold one use
-    /// [`Session::run_template_sweep_parallel_shared`] and copy nothing.
-    pub fn run_template_sweep_parallel(
-        &mut self,
-        template: &LoadedTemplate,
-        points: &[TemplatePoint],
-        threads: usize,
-    ) -> Result<Vec<RunReport>, DeviceError> {
-        self.run_template_sweep_parallel_shared(template, Arc::from(points.to_vec()), threads)
-    }
-
-    /// [`Session::run_template_sweep_parallel`] over an already-shared
-    /// point list — no per-call copy of the points.
-    pub fn run_template_sweep_parallel_shared(
-        &mut self,
-        template: &LoadedTemplate,
-        points: Arc<[TemplatePoint]>,
-        threads: usize,
-    ) -> Result<Vec<RunReport>, DeviceError> {
-        validate_axis_sets(&points)?;
-        let start = Arc::new(template.working().clone());
-        self.run_pooled(threads, points.len(), |_| {
-            let points = Arc::clone(&points);
-            let mut working = (*start).clone();
-            move |device: &mut Device, i: usize| {
-                let point = &points[i];
-                for (name, value) in &point.patches {
-                    working.patch(name, *value)?;
-                }
-                device.reseed(point.seeds.chip, point.seeds.jitter);
-                device.run(&working)
-            }
-        })
-    }
-
-    /// Runs `shots` shots sharded across `threads` persistent worker
-    /// threads (`0` = one per available core), each working on its warm
-    /// clone of the calibrated device. Seeds come from the same plan and
-    /// the same continuing shot indices as [`Session::run_shots`], so
-    /// the result is bit-identical to the sequential batch (and is
-    /// returned in shot order). The session's shot counter advances only
-    /// when the whole batch succeeds.
-    ///
-    /// Only the clones run: the owned device's RNG streams stay where
-    /// they were, unlike [`Session::run_shots`] which leaves them at the
-    /// last shot's position. Code mixing batches with non-reseeded
-    /// [`Session::run`] calls should not rely on the RNG position the
-    /// previous batch left behind — use [`Session::run_shot`] with
-    /// explicit seeds when reproducibility matters.
-    pub fn run_shots_parallel(
-        &mut self,
-        program: &LoadedProgram,
-        shots: u64,
-        threads: usize,
-    ) -> Result<BatchReport, DeviceError> {
-        let plan = self.seed_plan();
-        let first = self.next_shot;
-        let reports = self.run_pooled(threads, shots as usize, |_| {
-            // The program is shared — a `LoadedProgram` clone is an `Arc`
-            // pointer copy, never an instruction copy.
-            let program = program.clone();
-            move |device: &mut Device, i: usize| {
-                let seeds = plan.shot(first + i as u64);
-                device.reseed(seeds.chip, seeds.jitter);
-                device.run(program.program())
-            }
-        })?;
-        self.next_shot = first + shots;
-        Ok(BatchReport { shots: reports })
+        reports.map(|shots| BatchReport { shots })
     }
 }
 
@@ -845,7 +727,10 @@ impl Session {
 mod tests {
     use super::*;
     use crate::config::{ChipProfile, DeviceConfig};
+    use crate::microcode::UnknownGate;
     use crate::trace::TraceLevel;
+    use quma_isa::prelude::{GateId, Instruction, QubitMask};
+    use quma_isa::template::ProgramTemplate;
 
     const SEGMENT: &str = "\
         Wait 40000\n\
@@ -856,6 +741,20 @@ mod tests {
         MPG {q0}, 300\n\
         MD {q0}, r7\n\
         halt\n";
+
+    fn shots(program: &LoadedProgram, shots: u64) -> Batch {
+        Batch::Shots {
+            program: program.clone(),
+            shots,
+        }
+    }
+
+    fn template_batch(program: &Program, points: &[TemplatePoint]) -> Batch {
+        Batch::Template {
+            program: Arc::new(program.clone()),
+            points: points.into(),
+        }
+    }
 
     fn config() -> DeviceConfig {
         DeviceConfig {
@@ -905,7 +804,7 @@ mod tests {
         // A second session starts the shot counter at 0 again, so the
         // parallel batch covers the same seed indices.
         let mut session = Session::new(config()).unwrap();
-        let parallel = session.run_shots_parallel(&loaded, 6, 3).unwrap();
+        let parallel = session.run_batch(&shots(&loaded, 6), 3).unwrap();
         assert_eq!(sequential.len(), parallel.len());
         assert_eq!(session.shots_run(), 6);
         for (a, b) in sequential.shots.iter().zip(parallel.shots.iter()) {
@@ -946,12 +845,53 @@ mod tests {
         let points: Vec<(LoadedProgram, ShotSeeds)> = (0..5)
             .map(|i| (session.load_assembly(SEGMENT).unwrap(), plan.shot(i)))
             .collect();
-        let sequential = session.run_sweep(&points).unwrap();
-        let parallel = session.run_sweep_parallel(&points, 3).unwrap();
+        let sweep = Batch::Sweep(points.into());
+        let sequential = session.run_batch(&sweep, 1).unwrap().shots;
+        let parallel = session.run_batch(&sweep, 3).unwrap().shots;
         assert_eq!(sequential.len(), parallel.len());
         for (i, (a, b)) in sequential.iter().zip(parallel.iter()).enumerate() {
             assert_eq!(a.registers, b.registers, "point {i}");
             assert_eq!(a.md_results, b.md_results, "point {i}");
+        }
+    }
+
+    #[test]
+    fn failing_batches_return_the_lowest_failing_item() {
+        // Points 1 and 3 both fail (an unknown gate on different ids);
+        // every thread count must surface point 1's error, the one the
+        // inline loop's early return stops at.
+        let mut session = Session::new(config()).unwrap();
+        let plan = session.seed_plan();
+        let ok = session.load_assembly(SEGMENT).unwrap();
+        let bad = |gate: u8| {
+            session.load(&Program::new(vec![
+                Instruction::Apply {
+                    gate: GateId(gate),
+                    qubits: QubitMask::single(0),
+                },
+                Instruction::Halt,
+            ]))
+        };
+        let (bad_lo, bad_hi) = (bad(200), bad(201));
+        let points: Vec<(LoadedProgram, ShotSeeds)> = [&ok, &bad_lo, &ok, &bad_hi, &ok]
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| (p.clone(), plan.shot(i as u64)))
+            .collect();
+        let sweep = Batch::Sweep(points.into());
+        let items = sweep.len();
+        for threads in [0, 1, 2, 3, items + 2] {
+            let err = session.run_batch(&sweep, threads).unwrap_err();
+            assert!(
+                matches!(err, DeviceError::UnknownGate(UnknownGate(GateId(200)))),
+                "threads {threads}: {err:?}"
+            );
+        }
+        // A failing shot batch leaves the shot counter where it was.
+        for threads in [1, 3] {
+            let before = session.shots_run();
+            assert!(session.run_batch(&shots(&bad_lo, 4), threads).is_err());
+            assert_eq!(session.shots_run(), before, "threads {threads}");
         }
     }
 
@@ -962,7 +902,10 @@ mod tests {
         let points: Vec<(LoadedProgram, ShotSeeds)> = (0..3)
             .map(|i| (session.load_assembly(SEGMENT).unwrap(), plan.shot(i as u64)))
             .collect();
-        let reports = session.run_sweep(&points).unwrap();
+        let reports = session
+            .run_batch(&Batch::Sweep(points.into()), 1)
+            .unwrap()
+            .shots;
         assert_eq!(reports.len(), 3);
         // Same seeds, same program → the sweep repeats the batch exactly.
         let loaded = session.load_assembly(SEGMENT).unwrap();
@@ -980,14 +923,15 @@ mod tests {
         let mut session = Session::new(config()).unwrap();
         let loaded = session.load_assembly(SEGMENT).unwrap();
         let seeds = session.seed_plan().shot(0);
-        session.run_shot(&loaded, seeds).unwrap(); // populate the cache
+        let shot = Batch::Sweep(vec![(loaded, seeds)].into());
+        session.run_batch(&shot, 1).unwrap(); // populate the cache
         session
             .device_mut()
             .chip_mut()
             .qubit_mut(0)
             .readout
             .noise_sigma = 0.8;
-        let got = session.run_shot(&loaded, seeds).unwrap();
+        let got = session.run_batch(&shot, 1).unwrap().shots.remove(0);
         let mut fresh = Device::new(DeviceConfig {
             chip_seed: seeds.chip,
             jitter_seed: seeds.jitter,
@@ -1059,18 +1003,21 @@ mod tests {
 
     #[test]
     fn template_sweep_matches_per_point_assembly() {
-        // The tentpole contract: patching the loaded template per point
-        // is bit-identical to assembling a fresh program per point.
+        // The template contract: patching the template per point is
+        // bit-identical to assembling a fresh program per point.
         let mut session = Session::new(config()).unwrap();
-        let mut template = session.load_template(&tau_template());
         let points = tau_points(&session, &TAUS);
-        let got = session.run_template_sweep(&mut template, &points).unwrap();
+        let sweep = template_batch(tau_template().program(), &points);
+        let got = session.run_batch(&sweep, 1).unwrap().shots;
         let per_point: Vec<(LoadedProgram, ShotSeeds)> = TAUS
             .iter()
             .zip(points.iter())
             .map(|(&tau, p)| (session.load_assembly(&tau_source(tau)).unwrap(), p.seeds))
             .collect();
-        let want = session.run_sweep(&per_point).unwrap();
+        let want = session
+            .run_batch(&Batch::Sweep(per_point.into()), 1)
+            .unwrap()
+            .shots;
         assert_eq!(got.len(), want.len());
         for (i, (a, b)) in got.iter().zip(want.iter()).enumerate() {
             assert_eq!(a.registers, b.registers, "point {i}");
@@ -1081,13 +1028,10 @@ mod tests {
     #[test]
     fn parallel_template_sweep_matches_sequential() {
         let mut session = Session::new(config()).unwrap();
-        let mut template = session.load_template(&tau_template());
         let points = tau_points(&session, &TAUS);
-        let sequential = session.run_template_sweep(&mut template, &points).unwrap();
-        let template = session.load_template(&tau_template());
-        let parallel = session
-            .run_template_sweep_parallel(&template, &points, 3)
-            .unwrap();
+        let sweep = template_batch(tau_template().program(), &points);
+        let sequential = session.run_batch(&sweep, 1).unwrap().shots;
+        let parallel = session.run_batch(&sweep, 3).unwrap().shots;
         for (i, (a, b)) in sequential.iter().zip(parallel.iter()).enumerate() {
             assert_eq!(a.registers, b.registers, "point {i}");
             assert_eq!(a.md_results, b.md_results, "point {i}");
@@ -1097,8 +1041,8 @@ mod tests {
     #[test]
     fn parallel_sweep_honors_pre_sweep_patches() {
         // Patch a second, non-swept axis before the sweep: both paths
-        // must run every point with that value (workers fork from the
-        // working state, not the pristine base).
+        // must run every point with that value (every path forks its
+        // working copy from the batch's pre-sweep program).
         let mut program = quma_isa::asm::Assembler::new()
             .assemble(
                 "Wait 40000\n\
@@ -1116,23 +1060,18 @@ mod tests {
         program
             .add_slot("window", 4, quma_isa::template::PatchField::MpgDuration)
             .unwrap();
-        let template = ProgramTemplate::new(program);
         let mut session = Session::new(config()).unwrap();
         let points = tau_points(&session, &TAUS);
-        let mut loaded = session.load_template(&template);
-        loaded.patch("window", 24).unwrap();
-        let sequential = session.run_template_sweep(&mut loaded, &points).unwrap();
-        let mut loaded = session.load_template(&template);
-        loaded.patch("window", 24).unwrap();
-        let parallel = session
-            .run_template_sweep_parallel(&loaded, &points, 3)
-            .unwrap();
+        let default_sweep = template_batch(&program, &points);
+        program.patch("window", 24).unwrap();
+        let sweep = template_batch(&program, &points);
+        let sequential = session.run_batch(&sweep, 1).unwrap().shots;
+        let parallel = session.run_batch(&sweep, 3).unwrap().shots;
         for (i, (a, b)) in sequential.iter().zip(parallel.iter()).enumerate() {
             assert_eq!(a.md_results, b.md_results, "point {i}");
         }
         // And the shortened window really took effect versus the default.
-        let mut loaded = session.load_template(&template);
-        let default_window = session.run_template_sweep(&mut loaded, &points).unwrap();
+        let default_window = session.run_batch(&default_sweep, 1).unwrap().shots;
         assert_ne!(
             sequential[0].stats.host_cycles, default_window[0].stats.host_cycles,
             "the pre-sweep patch must change the run"
@@ -1142,51 +1081,29 @@ mod tests {
     #[test]
     fn template_sweep_rejects_mismatched_axes() {
         let mut session = Session::new(config()).unwrap();
-        let mut template = session.load_template(&tau_template());
         let mut points = tau_points(&session, &TAUS);
         points[2].patches.clear();
-        let err = session
-            .run_template_sweep(&mut template, &points)
-            .unwrap_err();
-        assert!(matches!(err, DeviceError::Config(_)));
-        let err = session
-            .run_template_sweep_parallel(&template, &points, 2)
-            .unwrap_err();
-        assert!(matches!(err, DeviceError::Config(_)));
+        let sweep = template_batch(tau_template().program(), &points);
+        for threads in [1, 2] {
+            let err = session.run_batch(&sweep, threads).unwrap_err();
+            assert!(matches!(err, DeviceError::Config(_)));
+        }
     }
 
     #[test]
     fn template_patch_errors_surface_as_device_errors() {
         let mut session = Session::new(config()).unwrap();
-        let mut template = session.load_template(&tau_template());
         let seeds = session.seed_plan().shot(0);
-        let points = vec![TemplatePoint {
+        let points = [TemplatePoint {
             patches: vec![("nope".to_string(), 4)],
             seeds,
         }];
-        let err = session
-            .run_template_sweep(&mut template, &points)
-            .unwrap_err();
+        let sweep = template_batch(tau_template().program(), &points);
+        let err = session.run_batch(&sweep, 1).unwrap_err();
         assert!(matches!(
             err,
             DeviceError::Patch(quma_isa::template::PatchError::UnknownSlot(_))
         ));
-    }
-
-    #[test]
-    fn loaded_template_reset_restores_the_base() {
-        let session = Session::new(config()).unwrap();
-        let mut template = session.load_template(&tau_template());
-        template.patch("tau", 8000).unwrap();
-        assert_ne!(
-            template.working().instructions(),
-            template.base().instructions()
-        );
-        template.reset();
-        assert_eq!(
-            template.working().instructions(),
-            template.base().instructions()
-        );
     }
 
     #[test]
@@ -1215,14 +1132,14 @@ mod tests {
         let loaded = session.load_assembly(SEGMENT).unwrap();
         let sequential = session.run_shots(&loaded, 6).unwrap();
         let mut session = Session::new(config()).unwrap();
-        let auto = session.run_shots_parallel(&loaded, 6, 0).unwrap();
+        let auto = session.run_batch(&shots(&loaded, 6), 0).unwrap();
         for (a, b) in sequential.shots.iter().zip(auto.shots.iter()) {
             assert_eq!(a.registers, b.registers);
             assert_eq!(a.md_results, b.md_results);
         }
         // More workers than shots is fine too.
         let mut session = Session::new(config()).unwrap();
-        let oversubscribed = session.run_shots_parallel(&loaded, 3, 64).unwrap();
+        let oversubscribed = session.run_batch(&shots(&loaded, 3), 64).unwrap();
         assert_eq!(oversubscribed.len(), 3);
     }
 

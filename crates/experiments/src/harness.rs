@@ -10,10 +10,11 @@
 //!   a parameterized [`QuantumProgram`] (or per-point programs), the
 //!   sweep axes, and the analysis that turns reports into a result;
 //! * [`run`] / [`run_parallel`] decide *how*: one collector-style looped
-//!   program, a compile-once/patch-per-point template sweep, a
-//!   per-point-program sweep, or a derived-seed shot batch — sequential
-//!   or sharded, with the engine's bit-identical determinism contract
-//!   either way;
+//!   program run once, or one engine [`Batch`] — a compile-once/
+//!   patch-per-point template sweep, a per-point-program sweep, or a
+//!   derived-seed shot batch — handed to [`Session::run_batch`], inline or
+//!   sharded with the engine's bit-identical determinism contract either
+//!   way;
 //! * every failure surfaces as a typed [`ExperimentError`] instead of a
 //!   panic.
 //!
@@ -23,7 +24,7 @@
 use crate::fit::FitError;
 use quma_compiler::prelude::{Bindings, CompileError, CompilerConfig, GateSet, QuantumProgram};
 use quma_core::prelude::{
-    DeviceConfig, LoadedProgram, RunReport, Session, ShotSeeds, TemplatePoint,
+    Batch, DeviceConfig, LoadedProgram, RunReport, Session, ShotSeeds, TemplatePoint,
 };
 use quma_isa::prelude::{PatchError, Program, ProgramTemplate};
 use std::sync::Arc;
@@ -157,7 +158,7 @@ pub enum ExecutionMode {
     /// and per-point-compile paths are unaffected.
     TemplateSweep,
     /// One compiled program per point (structural differences a patch
-    /// cannot express), driven through the engine's sweep path.
+    /// cannot express), run as an engine [`Batch::Sweep`].
     ProgramSweep,
     /// One fixed program, `shots` derived-seed shots continuing the
     /// session's seed sequence.
@@ -264,11 +265,12 @@ pub trait Experiment {
     fn axes(&self, cfg: &Self::Config) -> Result<SweepAxes, ExperimentError>;
 
     /// Per-point session mutation (e.g. a pulse-library upload between
-    /// Rabi points), called before point `index` executes. Experiments
-    /// overriding this must also override [`Experiment::mutates_per_point`]
-    /// to return `true`: a sharded sweep cannot order mutations against
-    /// points on other workers, so the harness refuses `threads > 1` for
-    /// such experiments instead of silently skipping the hook.
+    /// Rabi points), called before batch item `index` (a sweep point, or a
+    /// shot in `Shots` mode) executes. Experiments overriding this must
+    /// also override [`Experiment::mutates_per_point`] to return `true`:
+    /// a sharded batch cannot order mutations against items on other
+    /// workers, so the harness refuses `threads > 1` for such experiments
+    /// instead of silently skipping the hook.
     fn before_point(
         &self,
         _cfg: &Self::Config,
@@ -279,8 +281,8 @@ pub trait Experiment {
     }
 
     /// True when [`Experiment::before_point`] mutates the session. The
-    /// harness rejects parallel execution for such experiments (the hook
-    /// only runs on the sequential path).
+    /// harness then runs the batch one item at a time, calling the hook
+    /// before each, and rejects parallel execution.
     fn mutates_per_point(&self) -> bool {
         false
     }
@@ -342,23 +344,7 @@ pub fn run_on_session<E: Experiment>(
 ) -> Result<E::Output, ExperimentError> {
     exp.prepare(cfg, session)?;
     let axes = exp.axes(cfg)?;
-    // Resolve the thread request (0 = auto) against the actual amount of
-    // work, so the mutates_per_point guard below sees the real fan-out.
-    let items = match &axes.mode {
-        ExecutionMode::Collector => 1,
-        ExecutionMode::TemplateSweep | ExecutionMode::ProgramSweep => axes.points.len(),
-        ExecutionMode::Shots { shots, .. } => *shots as usize,
-    };
-    let threads =
-        quma_core::prelude::resolve_threads(threads_override.unwrap_or(axes.threads), items);
-    if threads > 1 && exp.mutates_per_point() {
-        return Err(ExperimentError::Config(format!(
-            "{} mutates the session per point (before_point); it cannot shard \
-             across {threads} workers — run it with threads == 1",
-            exp.name()
-        )));
-    }
-    let reports: Vec<RunReport> = match &axes.mode {
+    let batch = match &axes.mode {
         ExecutionMode::Collector => {
             let program = exp.program(cfg)?;
             let bindings: Vec<Bindings> = axes.points.iter().map(|p| p.bindings.clone()).collect();
@@ -374,13 +360,12 @@ pub fn run_on_session<E: Experiment>(
                 }
                 .into());
             }
-            vec![report]
+            return exp.analyze(cfg, &axes, &[report]);
         }
         ExecutionMode::TemplateSweep => {
             let program = exp.program(cfg)?;
             let gates = exp.gates(cfg);
             let template = exp.template(cfg)?;
-            let mut loaded = session.load_template(&template);
             let plan = session.seed_plan();
             let points = axes
                 .points
@@ -393,25 +378,9 @@ pub fn run_on_session<E: Experiment>(
                     })
                 })
                 .collect::<Result<Vec<_>, ExperimentError>>()?;
-            if threads > 1 {
-                // `Arc::from(points)` moves the Vec's buffer — the
-                // engine's `_shared` entry point copies no point data.
-                session.run_template_sweep_parallel_shared(&loaded, Arc::from(points), threads)?
-            } else {
-                // The hook-aware sequential loop below bypasses the
-                // engine's sweep entry point, so apply the same axis-set
-                // rule here: a point whose bindings skip an axis would
-                // silently inherit the previous point's value.
-                quma_core::prelude::validate_axis_sets(&points)?;
-                let mut out = Vec::with_capacity(points.len());
-                for (i, point) in points.iter().enumerate() {
-                    exp.before_point(cfg, session, i)?;
-                    for (name, value) in &point.patches {
-                        loaded.patch(name, *value)?;
-                    }
-                    out.push(session.run_template(&loaded, point.seeds)?);
-                }
-                out
+            Batch::Template {
+                program: Arc::new(template.into_program()),
+                points: points.into(),
             }
         }
         ExecutionMode::ProgramSweep => {
@@ -433,26 +402,39 @@ pub fn run_on_session<E: Experiment>(
                     ))
                 })
                 .collect::<Result<Vec<_>, ExperimentError>>()?;
-            if threads > 1 {
-                session.run_sweep_parallel_shared(Arc::from(points), threads)?
-            } else {
-                let mut out = Vec::with_capacity(points.len());
-                for (i, (program, seeds)) in points.iter().enumerate() {
-                    exp.before_point(cfg, session, i)?;
-                    out.push(session.run_shot(program, *seeds)?);
-                }
-                out
-            }
+            Batch::Sweep(points.into())
         }
-        ExecutionMode::Shots { program, shots } => {
-            let loaded = LoadedProgram::from_arc(Arc::clone(program));
-            let batch = if threads > 1 {
-                session.run_shots_parallel(&loaded, *shots, threads)?
-            } else {
-                session.run_shots(&loaded, *shots)?
-            };
-            batch.shots
+        ExecutionMode::Shots { program, shots } => Batch::Shots {
+            program: LoadedProgram::from_arc(Arc::clone(program)),
+            shots: *shots,
+        },
+    };
+    // Resolve the thread request (0 = auto) against the actual amount of
+    // work, so the mutates_per_point guard sees the real fan-out.
+    let threads =
+        quma_core::prelude::resolve_threads(threads_override.unwrap_or(axes.threads), batch.len());
+    let reports = if exp.mutates_per_point() {
+        if threads > 1 {
+            return Err(ExperimentError::Config(format!(
+                "{} mutates the session per point (before_point); it cannot shard \
+                 across {threads} workers — run it with threads == 1",
+                exp.name()
+            )));
         }
+        // Item by item, so the hook runs between items. Slices of a
+        // template sweep are only equivalent to the whole sweep when every
+        // point patches the same axes, so check the whole sweep first.
+        if let Batch::Template { points, .. } = &batch {
+            quma_core::prelude::validate_axis_sets(points)?;
+        }
+        let mut out = Vec::with_capacity(batch.len());
+        for i in 0..batch.len() {
+            exp.before_point(cfg, session, i)?;
+            out.extend(session.run_batch(&batch.slice(i..i + 1), 1)?.shots);
+        }
+        out
+    } else {
+        session.run_batch(&batch, threads)?.shots
     };
     exp.analyze(cfg, &axes, &reports)
 }
@@ -460,11 +442,56 @@ pub fn run_on_session<E: Experiment>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quma_core::prelude::SessionTracer;
+    use quma_obs::trace::{SpanEvent, SpanKind, TraceBuffer};
 
     fn point(patches: &[(&str, i64)]) -> TemplatePoint {
         TemplatePoint {
             patches: patches.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
             seeds: ShotSeeds { chip: 0, jitter: 0 },
+        }
+    }
+
+    /// Runs `exp` at one thread on a traced session; returns its point
+    /// count and the `shot_batch` spans it recorded.
+    fn traced_run<E: Experiment>(exp: &E, cfg: &E::Config) -> (usize, Vec<SpanEvent>) {
+        let buf = TraceBuffer::new(64);
+        let mut session = Session::new(exp.device_config(cfg)).unwrap();
+        session.set_tracer(Some(SessionTracer {
+            buf: buf.clone(),
+            trace_id: 7,
+            tid: 0,
+        }));
+        run_on_session(exp, cfg, &mut session, Some(1)).unwrap();
+        let points = exp.axes(cfg).unwrap().points.len();
+        let spans = buf.events();
+        (points, spans)
+    }
+
+    #[test]
+    fn single_thread_sweeps_record_one_shot_batch_span() {
+        let template = traced_run(
+            &crate::readout::Readout,
+            &crate::readout::ReadoutConfig {
+                durations_cycles: vec![8, 40, 100],
+                shots: 4,
+                ..Default::default()
+            },
+        );
+        let program = traced_run(
+            &crate::rb::Rb::default(),
+            &crate::rb::RbConfig {
+                lengths: vec![1, 2, 4],
+                sequences_per_length: 1,
+                averages: 2,
+                ..Default::default()
+            },
+        );
+        for (points, spans) in [template, program] {
+            assert_eq!(spans.len(), 1, "{spans:?}");
+            let span = &spans[0];
+            assert_eq!(span.kind, SpanKind::ShotBatch);
+            assert_eq!((span.a, span.b), (points as u64, 0));
         }
     }
 

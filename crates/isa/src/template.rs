@@ -241,7 +241,7 @@ pub struct SweepAxisInfo {
 /// sweep-axis metadata derived from its slot table.
 ///
 /// Templates are immutable; sweeps patch *working copies* (see the engine
-/// layer's `LoadedTemplate`), so one template serves any number of
+/// layer's `Batch::Template`), so one template serves any number of
 /// concurrent workers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramTemplate {

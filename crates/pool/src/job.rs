@@ -11,8 +11,8 @@
 use crate::metrics::JobMetrics;
 use crossbeam::channel;
 use quma_core::prelude::{
-    BatchReport, DeviceConfig, DeviceError, LoadedProgram, RunReport, SeedPlan, Session, ShotSeeds,
-    TemplatePoint,
+    Batch, BatchReport, DeviceConfig, DeviceError, LoadedProgram, RunReport, SeedPlan, Session,
+    ShotSeeds, TemplatePoint,
 };
 use quma_experiments::prelude::{Experiment, ExperimentError};
 use quma_isa::prelude::{Program, ProgramTemplate};
@@ -238,27 +238,10 @@ where
 
 /// What a job executes.
 pub(crate) enum JobKind {
-    /// `shots` derived-seed shots of one program (seed indices 0..shots,
-    /// exactly like a fresh `Session`).
-    Shots {
-        /// The program, `Arc`-shared with the submitting client and any
-        /// identical submissions.
-        program: Arc<Program>,
-        /// Number of shots.
-        shots: u64,
-    },
-    /// A prepared-program sweep with explicit per-point seeds.
-    Sweep {
-        /// The points, in order.
-        points: Vec<(LoadedProgram, ShotSeeds)>,
-    },
-    /// A compile-once patch-per-point template sweep.
-    TemplateSweep {
-        /// The pristine template, `Arc`-shared.
-        template: Arc<ProgramTemplate>,
-        /// The points (each with explicit seeds).
-        points: Vec<TemplatePoint>,
-    },
+    /// A derived-seed shot batch (seed indices 0..shots, exactly like a
+    /// fresh `Session`), a prepared-program sweep, or a compile-once
+    /// patch-per-point template sweep, run through `Session::run_batch`.
+    Batch(Batch),
     /// Any [`Experiment`], run through `harness::run_on_session`.
     Experiment(Box<dyn ErasedExperiment>),
 }
@@ -266,15 +249,14 @@ pub(crate) enum JobKind {
 impl std::fmt::Debug for JobKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            JobKind::Shots { shots, .. } => f.debug_struct("Shots").field("shots", shots).finish(),
-            JobKind::Sweep { points } => f
-                .debug_struct("Sweep")
-                .field("points", &points.len())
-                .finish(),
-            JobKind::TemplateSweep { points, .. } => f
-                .debug_struct("TemplateSweep")
-                .field("points", &points.len())
-                .finish(),
+            JobKind::Batch(batch) => {
+                let name = match batch {
+                    Batch::Shots { .. } => "Shots",
+                    Batch::Sweep(_) => "Sweep",
+                    Batch::Template { .. } => "TemplateSweep",
+                };
+                f.debug_struct(name).field("items", &batch.len()).finish()
+            }
             JobKind::Experiment(_) => f.debug_struct("Experiment").finish_non_exhaustive(),
         }
     }
@@ -340,19 +322,27 @@ impl Job {
     /// `shots` derived-seed shots of `program` — bit-identical to a fresh
     /// direct `Session::run_shots` with the same device config and plan.
     pub fn shots(program: Arc<Program>, shots: u64) -> Self {
-        Self::new(JobKind::Shots { program, shots })
+        Self::new(JobKind::Batch(Batch::Shots {
+            program: LoadedProgram::from_arc(program),
+            shots,
+        }))
     }
 
     /// A prepared-program sweep with explicit per-point seeds —
-    /// bit-identical to a direct `Session::run_sweep`.
+    /// bit-identical to a direct `Session::run_batch` of the same
+    /// [`Batch::Sweep`].
     pub fn sweep(points: Vec<(LoadedProgram, ShotSeeds)>) -> Self {
-        Self::new(JobKind::Sweep { points })
+        Self::new(JobKind::Batch(Batch::Sweep(points.into())))
     }
 
     /// A patch-per-point template sweep — bit-identical to a direct
-    /// `Session::run_template_sweep` on a freshly loaded template.
+    /// `Session::run_batch` of a [`Batch::Template`] over the pristine
+    /// template program.
     pub fn template_sweep(template: Arc<ProgramTemplate>, points: Vec<TemplatePoint>) -> Self {
-        Self::new(JobKind::TemplateSweep { template, points })
+        Self::new(JobKind::Batch(Batch::Template {
+            program: Arc::new(template.program().clone()),
+            points: points.into(),
+        }))
     }
 
     /// Any [`Experiment`] — bit-identical to a direct `harness::run`.
@@ -436,7 +426,7 @@ impl Job {
     /// jobs, and device overrides never apply to experiments (which
     /// carry their own [`Experiment::device_config`]).
     pub(crate) fn validate(&self) -> Result<(), DeviceError> {
-        if !matches!(self.kind, JobKind::Shots { .. }) {
+        if !matches!(self.kind, JobKind::Batch(Batch::Shots { .. })) {
             if self.plan.is_some() {
                 return Err(DeviceError::Config(format!(
                     "a seed plan only applies to shot-batch jobs, not {:?}",

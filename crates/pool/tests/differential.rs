@@ -188,10 +188,11 @@ fn pooled_template_sweep_matches_direct_session_sweep() {
         .into_reports()
         .expect("reports output");
     let mut direct = Session::new(base_config()).expect("session");
-    let mut loaded = direct.load_template(&template);
-    let want = direct
-        .run_template_sweep(&mut loaded, &points)
-        .expect("direct sweep");
+    let sweep = Batch::Template {
+        program: Arc::new(template.program().clone()),
+        points: points.into(),
+    };
+    let want = direct.run_batch(&sweep, 1).expect("direct sweep").shots;
     assert_reports_eq(&got, &want, "template sweep");
 }
 

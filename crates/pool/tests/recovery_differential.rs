@@ -124,7 +124,10 @@ fn sweep_recovery_is_bit_identical_at_every_kill_point() {
 
     // Direct-session ground truth: the pool + journal must not perturb it.
     let mut direct = Session::new(base_config()).expect("session");
-    let direct_reports = direct.run_sweep(&points).expect("direct sweep");
+    let direct_reports = direct
+        .run_batch(&Batch::Sweep(points[..].into()), 1)
+        .expect("direct sweep")
+        .shots;
     assert_reports_eq(&want, &direct_reports, "uninterrupted vs direct");
 
     let wal = std::fs::read(dir.join("wal.qj")).expect("read wal");

@@ -12,8 +12,8 @@
 //!
 //! Qubits start as independent single-qubit density matrices (the product
 //! fast path — uncoupled qubits never pay for joint-state algebra and stay
-//! bit-identical to the pre-QEC pair chip, see
-//! [`crate::pair_reference`]). A CZ flux pulse lazily merges its two
+//! bit-identical to the pre-QEC pair chip, which
+//! `tests/chip_differential.rs` keeps as its reference). A CZ flux pulse lazily merges its two
 //! operands into one [`NQubitState`] register; further CZs *extend* the
 //! register along the chain, so a syndrome ancilla can couple to both of
 //! its data neighbours — the multi-qubit feedback scenario the repetition
@@ -531,8 +531,9 @@ impl ChipBackend for QuantumChip {
     }
 }
 
-/// Box–Muller standard-normal source over a borrowed RNG. Shared with
-/// [`crate::pair_reference`] so both chips consume the RNG identically.
+/// Box–Muller standard-normal source over a borrowed RNG. The pair
+/// reference chip in `tests/chip_differential.rs` draws the same way, so
+/// both chips consume the RNG identically.
 pub(crate) struct GaussianSource<'a> {
     rng: &'a mut StdRng,
     cached: Option<f64>,

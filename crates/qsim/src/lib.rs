@@ -34,7 +34,6 @@ pub mod complex;
 pub mod gates;
 pub mod mat2;
 pub mod noise;
-pub mod pair_reference;
 pub mod register;
 pub mod resonator;
 pub mod stabilizer;
@@ -52,7 +51,6 @@ pub mod prelude {
     };
     pub use crate::mat2::{Mat2, Vec2};
     pub use crate::noise::{Decoherence, NoiseError};
-    pub use crate::pair_reference::PairReferenceChip;
     pub use crate::register::{NQubitState, Scratch, MAX_REGISTER_QUBITS};
     pub use crate::resonator::{synthesize_trace, Discriminator, ReadoutParams, ReadoutTrace};
     pub use crate::stabilizer::{StabilizerChip, Tableau, MAX_STABILIZER_QUBITS};

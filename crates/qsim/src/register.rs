@@ -451,8 +451,9 @@ impl NQubitState {
 }
 
 /// The PR-3 allocating kernels, frozen verbatim as a differential
-/// reference (the `pair_reference.rs` idiom): the proptests below pin
-/// the scratch-buffered / tightened kernels bit-identical to these on
+/// reference (the idiom of the pair chip frozen in
+/// `tests/chip_differential.rs`): the proptests below pin the
+/// scratch-buffered / tightened kernels bit-identical to these on
 /// random registers and channels.
 #[cfg(test)]
 pub(crate) mod reference {

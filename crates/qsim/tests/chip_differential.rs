@@ -1,11 +1,12 @@
-//! Differential properties pinning the N-qubit chip refactor to the
-//! frozen PR-2 pair chip ([`quma_qsim::pair_reference`]), plus the QEC
-//! invariant that syndrome extraction leaves distant data qubits alone.
+//! Differential properties pinning the N-qubit chip to the frozen
+//! pair-coupled chip it generalized ([`pair_reference`] below), plus the
+//! QEC invariant that syndrome extraction leaves distant data qubits
+//! alone.
 
+use pair_reference::PairReferenceChip;
 use proptest::prelude::*;
 use quma_qsim::chip::QuantumChip;
 use quma_qsim::complex::C64;
-use quma_qsim::pair_reference::PairReferenceChip;
 use std::f64::consts::PI;
 
 const DT: f64 = 1e-9;
@@ -214,5 +215,245 @@ proptest! {
             b0, b1, chip.p1(0), chip.p1(2), syndrome
         );
         prop_assert!((chip.p1(2) - f64::from(u8::from(b1))).abs() < 1e-7);
+    }
+}
+
+/// The pair-coupled chip that [`QuantumChip`] generalized from lazily
+/// coupled *pairs* to N-qubit chains for the QEC workload, preserved
+/// byte-for-byte in behaviour so the properties above can pin the
+/// generalization down. Do not extend it; it exists to be compared
+/// against.
+mod pair_reference {
+    use quma_qsim::chip::{ChipQubit, QubitId};
+    use quma_qsim::complex::C64;
+    use quma_qsim::gates::{rotation, Axis};
+    use quma_qsim::noise::{amplitude_damping_kraus, phase_damping_kraus};
+    use quma_qsim::resonator::{synthesize_trace, ReadoutParams, ReadoutTrace};
+    use quma_qsim::transmon::{rotation_from_pulse, Transmon, TransmonParams};
+    use quma_qsim::twoqubit::{Mat4, TwoQubitState};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Box–Muller standard-normal source over a borrowed RNG, drawing
+    /// exactly as the chip's own readout-noise source does.
+    struct GaussianSource<'a> {
+        rng: &'a mut StdRng,
+        cached: Option<f64>,
+    }
+
+    impl GaussianSource<'_> {
+        fn next(&mut self) -> f64 {
+            if let Some(v) = self.cached.take() {
+                return v;
+            }
+            let u1: f64 = self.rng.random::<f64>().max(f64::MIN_POSITIVE);
+            let u2: f64 = self.rng.random();
+            let r = (-2.0 * u1.ln()).sqrt();
+            let theta = 2.0 * std::f64::consts::PI * u2;
+            self.cached = Some(r * theta.sin());
+            r * theta.cos()
+        }
+    }
+
+    /// The pair-coupled chip, frozen for differential tests.
+    #[derive(Debug, Clone)]
+    pub struct PairReferenceChip {
+        qubits: Vec<ChipQubit>,
+        joints: Vec<JointPair>,
+        membership: Vec<Option<usize>>,
+        rng: StdRng,
+        measurements: u64,
+    }
+
+    /// A coupled pair holding a joint two-qubit state.
+    #[derive(Debug, Clone)]
+    struct JointPair {
+        a: QubitId,
+        b: QubitId,
+        state: TwoQubitState,
+        clock: f64,
+    }
+
+    impl PairReferenceChip {
+        /// Creates an empty chip with a deterministic RNG seed.
+        pub fn new(seed: u64) -> Self {
+            Self {
+                qubits: Vec::new(),
+                joints: Vec::new(),
+                membership: Vec::new(),
+                rng: StdRng::seed_from_u64(seed),
+                measurements: 0,
+            }
+        }
+
+        /// `n` qubits with the paper's qubit-2 parameters.
+        pub fn paper_device(n: usize, seed: u64) -> Self {
+            let mut chip = Self::new(seed);
+            for _ in 0..n {
+                chip.add_qubit(
+                    TransmonParams::paper_qubit2(),
+                    ReadoutParams::paper_default(),
+                );
+            }
+            chip
+        }
+
+        /// An ideal (noise-free) device.
+        pub fn ideal_device(n: usize, seed: u64) -> Self {
+            let mut chip = Self::new(seed);
+            for _ in 0..n {
+                chip.add_qubit(TransmonParams::ideal(), ReadoutParams::noiseless());
+            }
+            chip
+        }
+
+        /// Adds a qubit; returns its id.
+        pub fn add_qubit(&mut self, transmon: TransmonParams, readout: ReadoutParams) -> QubitId {
+            self.qubits.push(ChipQubit {
+                transmon: Transmon::new(transmon),
+                readout,
+            });
+            self.membership.push(None);
+            self.qubits.len() - 1
+        }
+
+        /// Immutable access to a qubit.
+        pub fn qubit(&self, id: QubitId) -> &ChipQubit {
+            &self.qubits[id]
+        }
+
+        /// Mutable access to a qubit.
+        pub fn qubit_mut(&mut self, id: QubitId) -> &mut ChipQubit {
+            &mut self.qubits[id]
+        }
+
+        /// `p(|1⟩)` of a qubit, resolving joint membership.
+        pub fn p1(&self, id: QubitId) -> f64 {
+            match self.membership[id] {
+                Some(j) => {
+                    let joint = &self.joints[j];
+                    joint.state.p1_of(usize::from(id == joint.b))
+                }
+                None => self.qubits[id].transmon.p1(),
+            }
+        }
+
+        fn couple(&mut self, a: QubitId, b: QubitId, at: f64) -> usize {
+            assert!(a != b, "cannot couple a qubit to itself");
+            let (a, b) = (a.min(b), a.max(b));
+            if let (Some(ja), Some(jb)) = (self.membership[a], self.membership[b]) {
+                assert_eq!(ja, jb, "qubits belong to different joint registers");
+                return ja;
+            }
+            assert!(
+                self.membership[a].is_none() && self.membership[b].is_none(),
+                "re-pairing a coupled qubit is not supported"
+            );
+            self.qubits[a].transmon.idle_until(at);
+            self.qubits[b].transmon.idle_until(at);
+            let state = TwoQubitState::product(
+                self.qubits[a].transmon.state(),
+                self.qubits[b].transmon.state(),
+            );
+            let idx = self.joints.len();
+            self.joints.push(JointPair {
+                a,
+                b,
+                state,
+                clock: at,
+            });
+            self.membership[a] = Some(idx);
+            self.membership[b] = Some(idx);
+            idx
+        }
+
+        fn joint_idle(&mut self, j: usize, until: f64) {
+            let dt = until - self.joints[j].clock;
+            if dt <= 0.0 {
+                return;
+            }
+            let (qa, qb) = (self.joints[j].a, self.joints[j].b);
+            for (slot, qid) in [(0usize, qa), (1usize, qb)] {
+                let params = self.qubits[qid].transmon.params().clone();
+                let joint = &mut self.joints[j];
+                let p_relax = 1.0 - (-dt / params.decoherence.t1).exp();
+                joint
+                    .state
+                    .apply_local_kraus(&amplitude_damping_kraus(p_relax), slot);
+                let gamma_phi = params.decoherence.pure_dephasing_rate();
+                if gamma_phi > 0.0 {
+                    let p_phi = 0.5 * (1.0 - (-2.0 * gamma_phi * dt).exp());
+                    joint
+                        .state
+                        .apply_local_kraus(&phase_damping_kraus(p_phi), slot);
+                }
+                if params.detuning != 0.0 {
+                    let phase = 2.0 * std::f64::consts::PI * params.detuning * dt;
+                    joint.state.apply_local(&rotation(Axis::Z, phase), slot);
+                }
+            }
+            self.joints[j].clock = until;
+        }
+
+        /// Applies a CZ flux pulse to a pair.
+        pub fn apply_cz(&mut self, a: QubitId, b: QubitId, at: f64, duration: f64) {
+            let j = self.couple(a, b, at);
+            self.joint_idle(j, at);
+            self.joints[j].state.apply_unitary(&Mat4::cz());
+            self.joint_idle(j, at + duration);
+        }
+
+        /// Drives qubit `id` with a complex baseband sample stream.
+        pub fn drive(&mut self, id: QubitId, samples: &[C64], start: f64, dt: f64) {
+            match self.membership[id] {
+                None => self.qubits[id].transmon.drive(samples, start, dt),
+                Some(j) => {
+                    self.joint_idle(j, start);
+                    let params = self.qubits[id].transmon.params().clone();
+                    let u = rotation_from_pulse(&params, samples, start, dt);
+                    let joint = &mut self.joints[j];
+                    let slot = usize::from(id == joint.b);
+                    joint.state.apply_local(&u, slot);
+                    let duration = samples.len() as f64 * dt;
+                    self.joint_idle(j, start + duration);
+                }
+            }
+        }
+
+        /// Plays a measurement pulse: projects and synthesizes the trace.
+        pub fn measure_with_truth(
+            &mut self,
+            id: QubitId,
+            start: f64,
+            duration: f64,
+        ) -> (ReadoutTrace, u8) {
+            self.measurements += 1;
+            let u: f64 = self.rng.random();
+            let outcome = match self.membership[id] {
+                None => {
+                    let q = &mut self.qubits[id];
+                    q.transmon.idle_until(start);
+                    let outcome = q.transmon.project_with(u);
+                    q.transmon.idle_until(start + duration);
+                    outcome
+                }
+                Some(j) => {
+                    self.joint_idle(j, start);
+                    let joint = &mut self.joints[j];
+                    let slot = usize::from(id == joint.b);
+                    let outcome = u8::from(u < joint.state.p1_of(slot));
+                    joint.state.project(slot, outcome);
+                    self.joint_idle(j, start + duration);
+                    outcome
+                }
+            };
+            let readout = self.qubits[id].readout.clone();
+            let mut gauss = GaussianSource {
+                rng: &mut self.rng,
+                cached: None,
+            };
+            let trace = synthesize_trace(&readout, outcome, duration, || gauss.next());
+            (trace, outcome)
+        }
     }
 }

@@ -40,8 +40,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = session.load_assembly(ACTIVE_RESET)?;
     let mut flips = 0u32;
     let trials = 20;
-    for seed in 0..trials {
-        let report = session.run_shot(&program, ShotSeeds { chip: seed, jitter })?;
+    let points: Vec<_> = (0..trials)
+        .map(|seed| (program.clone(), ShotSeeds { chip: seed, jitter }))
+        .collect();
+    let reports = session.run_batch(&Batch::Sweep(points.into()), 1)?.shots;
+    for (seed, report) in reports.iter().enumerate() {
         let first = report.registers[7];
         let second = report.registers[9];
         let acted = first == 1;

@@ -43,13 +43,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         );
         let prog = session.load(&assembler().assemble(&src)?);
-        let report = session.run_shot(
-            &prog,
-            ShotSeeds {
-                chip: 5 + u64::from(control),
-                jitter,
-            },
-        )?;
+        let seeds = ShotSeeds {
+            chip: 5 + u64::from(control),
+            jitter,
+        };
+        let report = session
+            .run_batch(&Batch::Sweep([(prog, seeds)].into()), 1)?
+            .shots
+            .remove(0);
         println!(
             "control |{control}>: target measured |{}>, control measured |{}>",
             report.registers[7], report.registers[9]
@@ -80,14 +81,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let prog = session.load(&assembler().assemble(src)?);
     let mut histogram = [0u32; 4];
     let shots = 50;
-    for seed in 0..shots {
-        let report = session.run_shot(
-            &prog,
-            ShotSeeds {
-                chip: 100 + seed,
-                jitter,
-            },
-        )?;
+    let points: Vec<_> = (0..shots)
+        .map(|seed| {
+            let chip = 100 + seed;
+            (prog.clone(), ShotSeeds { chip, jitter })
+        })
+        .collect();
+    for report in session.run_batch(&Batch::Sweep(points.into()), 1)?.shots {
         let key = (report.registers[7] * 2 + report.registers[9]) as usize;
         histogram[key] += 1;
     }

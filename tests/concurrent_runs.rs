@@ -118,7 +118,13 @@ fn parallel_batch_is_bit_identical_to_sequential() {
     // device state (and shot counter) the sequential batch saw.
     let mut session = Session::new(batch_config()).expect("session");
     let parallel = session
-        .run_shots_parallel(&loaded, 8, 4)
+        .run_batch(
+            &Batch::Shots {
+                program: loaded,
+                shots: 8,
+            },
+            4,
+        )
         .expect("parallel batch");
     assert_eq!(sequential.len(), parallel.len());
     for (i, (a, b)) in sequential

@@ -3,7 +3,7 @@
 //! deterministically, sequentially and in parallel.
 
 use quma::compiler::prelude::{InjectedX, RepetitionCode};
-use quma::core::prelude::{ChipProfile, Session};
+use quma::core::prelude::{Batch, ChipProfile, Session};
 use quma::experiments::prelude::{run_qec, run_qec_injected, QecConfig};
 
 fn base() -> QecConfig {
@@ -73,7 +73,13 @@ fn parallel_registers_match_sequential_bit_for_bit() {
     let a = seq.run_shots(&loaded, 6).expect("sequential batch");
     let mut par = Session::new(dev_cfg).expect("config valid");
     let b = par
-        .run_shots_parallel(&loaded, 6, 3)
+        .run_batch(
+            &Batch::Shots {
+                program: loaded,
+                shots: 6,
+            },
+            3,
+        )
         .expect("parallel batch");
     for (i, (x, y)) in a.shots.iter().zip(b.shots.iter()).enumerate() {
         assert_eq!(x.registers, y.registers, "shot {i}");

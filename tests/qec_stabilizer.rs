@@ -7,7 +7,7 @@
 //! for the exact chip at distance ≤ 5.
 
 use quma::compiler::prelude::{InjectedX, RepetitionCode};
-use quma::core::prelude::{ChipProfile, Session};
+use quma::core::prelude::{Batch, ChipProfile, Session};
 use quma::experiments::prelude::{run_qec_injected, QecConfig, QecInjected};
 use quma::experiments::qec::device_config;
 use quma::pool::prelude::{DevicePool, Job, PoolConfig};
@@ -86,7 +86,13 @@ fn stabilizer_sequential_parallel_and_pooled_agree_bit_for_bit() {
     let a = seq.run_shots(&loaded, 6).expect("sequential batch");
     let mut par = Session::new(dev_cfg.clone()).expect("config valid");
     let b = par
-        .run_shots_parallel(&loaded, 6, 3)
+        .run_batch(
+            &Batch::Shots {
+                program: loaded,
+                shots: 6,
+            },
+            3,
+        )
         .expect("parallel batch");
     let pool = DevicePool::new(PoolConfig::new(dev_cfg).with_workers(1)).expect("pool");
     let pooled = pool

@@ -1,4 +1,4 @@
-//! Property: `run_shots_parallel` equals `run_shots` bit-for-bit for
+//! Property: a sharded `run_batch` equals `run_shots` bit-for-bit for
 //! *arbitrary* thread counts — including more workers than shots and the
 //! `threads == 0` auto case — with the jitter model on, so both RNG
 //! streams (chip and execution-controller) are exercised.
@@ -53,9 +53,8 @@ proptest! {
         let loaded = sequential.load_assembly(SEGMENT).expect("assembles");
         let want = sequential.run_shots(&loaded, shots).expect("sequential batch");
         let mut parallel = Session::new(config(seed)).expect("session");
-        let got = parallel
-            .run_shots_parallel(&loaded, shots, threads)
-            .expect("parallel batch");
+        let batch = Batch::Shots { program: loaded, shots };
+        let got = parallel.run_batch(&batch, threads).expect("parallel batch");
         prop_assert_eq!(got.len(), want.len());
         prop_assert_eq!(parallel.shots_run(), shots);
         for (i, (a, b)) in want.shots.iter().zip(got.shots.iter()).enumerate() {
@@ -83,12 +82,13 @@ proptest! {
         // middle one at a different thread count (forcing re-blocking
         // without re-cloning warm devices).
         let mut pooled = Session::new(config(seed)).expect("session");
-        let got_a = pooled.run_shots_parallel(&loaded, shots, threads_a).expect("pooled 1");
-        let got_b = pooled.run_shots_parallel(&loaded, shots, threads_b).expect("pooled 2");
+        let batch = Batch::Shots { program: loaded, shots };
+        let got_a = pooled.run_batch(&batch, threads_a).expect("pooled 1");
+        let got_b = pooled.run_batch(&batch, threads_b).expect("pooled 2");
 
         // Fresh session per batch: the no-reuse baseline.
         let mut fresh = Session::new(config(seed)).expect("session");
-        let fresh_a = fresh.run_shots_parallel(&loaded, shots, threads_a).expect("fresh 1");
+        let fresh_a = fresh.run_batch(&batch, threads_a).expect("fresh 1");
 
         for (i, (want, gots)) in [(first, [&got_a, &fresh_a]), (second, [&got_b, &got_b])]
             .iter()
@@ -111,11 +111,13 @@ fn threads_exceeding_shots_and_auto_are_exact() {
     let mut sequential = Session::new(config(0xE27)).expect("session");
     let loaded = sequential.load_assembly(SEGMENT).expect("assembles");
     let want = sequential.run_shots(&loaded, 5).expect("sequential");
+    let batch = Batch::Shots {
+        program: loaded,
+        shots: 5,
+    };
     for threads in [0, 7, 64] {
         let mut parallel = Session::new(config(0xE27)).expect("session");
-        let got = parallel
-            .run_shots_parallel(&loaded, 5, threads)
-            .expect("parallel");
+        let got = parallel.run_batch(&batch, threads).expect("parallel");
         for (a, b) in want.shots.iter().zip(got.shots.iter()) {
             assert_eq!(signature(a), signature(b), "threads = {threads}");
         }

@@ -4,7 +4,7 @@
 //! patching per point beats re-compiling per point by a wide margin.
 
 use quma::compiler::prelude::Bindings;
-use quma::core::prelude::{LoadedProgram, RunReport, Session, ShotSeeds, TemplatePoint};
+use quma::core::prelude::{Batch, LoadedProgram, RunReport, Session, ShotSeeds, TemplatePoint};
 use quma::experiments::fit::{fit_damped_cosine, fit_exponential_decay};
 use quma::experiments::prelude::{ones_fraction, Experiment, Ramsey, RamseyConfig, T1Config, T1};
 
@@ -40,7 +40,10 @@ fn sweep_three_ways<E: Experiment>(
             (session.load(&compiled), plan.shot(i as u64))
         })
         .collect();
-    let compiled_reports = session.run_sweep(&per_point).expect("per-point sweep");
+    let compiled_reports = session
+        .run_batch(&Batch::Sweep(per_point.into()), 1)
+        .expect("per-point sweep")
+        .shots;
 
     // (b) compile once, patch per point.
     let template = program.compile_template(&gates, &ccfg).expect("template");
@@ -53,13 +56,15 @@ fn sweep_three_ways<E: Experiment>(
         })
         .collect();
     let mut session = Session::new(exp.device_config(cfg)).expect("session");
-    let mut loaded = session.load_template(&template);
-    let sequential = session
-        .run_template_sweep(&mut loaded, &points)
-        .expect("template sweep");
+    let sweep = Batch::Template {
+        program: template.into_program().into(),
+        points: points.into(),
+    };
+    let sequential = session.run_batch(&sweep, 1).expect("template sweep").shots;
     let parallel = session
-        .run_template_sweep_parallel(&loaded, &points, 3)
-        .expect("parallel template sweep");
+        .run_batch(&sweep, 3)
+        .expect("parallel template sweep")
+        .shots;
     (compiled_reports, sequential, parallel)
 }
 
