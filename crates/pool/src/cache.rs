@@ -120,24 +120,59 @@ impl ProgramCache {
         (&self.hits, &self.misses)
     }
 
+    /// Returns the `text`-keyed entry of `shelf`, building (and caching)
+    /// it on a miss. The bool is true on a hit.
+    fn lookup<T>(
+        &self,
+        shelf: &Mutex<Shelf<T>>,
+        text: &str,
+        build: impl FnOnce() -> Result<T, DeviceError>,
+    ) -> Result<(Arc<T>, bool), DeviceError> {
+        let key = content_hash(text.as_bytes());
+        let mut shelf = shelf.lock().expect("cache poisoned");
+        if let Some(value) = shelf.get(key, text) {
+            self.hits.inc();
+            return Ok((value, true));
+        }
+        let value = Arc::new(build()?);
+        self.misses.inc();
+        shelf.insert(key, text.into(), Arc::clone(&value));
+        Ok((value, false))
+    }
+
     /// Assembles `source`, or returns the cached program if the same
     /// source was assembled before. The bool is true on a hit.
     pub(crate) fn assemble_keyed(&self, source: &str) -> Result<(Arc<Program>, bool), DeviceError> {
-        let key = content_hash(source.as_bytes());
-        let mut shelf = self.programs.lock().expect("cache poisoned");
-        if let Some(program) = shelf.get(key, source) {
-            self.hits.inc();
-            return Ok((program, true));
-        }
-        let program = Arc::new(quma_isa::asm::Assembler::new().assemble(source)?);
-        self.misses.inc();
-        shelf.insert(key, source.into(), Arc::clone(&program));
-        Ok((program, false))
+        self.lookup(&self.programs, source, || {
+            Ok(quma_isa::asm::Assembler::new().assemble(source)?)
+        })
     }
 
     /// Assembles `source` through the cache.
     pub fn assemble(&self, source: &str) -> Result<Arc<Program>, DeviceError> {
         self.assemble_keyed(source).map(|(program, _)| program)
+    }
+
+    /// [`ProgramCache::assemble_template`], plus whether it was a hit.
+    pub(crate) fn assemble_template_keyed(
+        &self,
+        source: &str,
+        slots: &[SlotSpec],
+    ) -> Result<(Arc<ProgramTemplate>, bool), DeviceError> {
+        let mut keyed = String::with_capacity(source.len() + slots.len() * 16);
+        keyed.push_str(source);
+        use std::fmt::Write as _;
+        for slot in slots {
+            keyed.push('\0');
+            let _ = write!(keyed, "{slot}");
+        }
+        self.lookup(&self.templates, &keyed, || {
+            let mut program = quma_isa::asm::Assembler::new().assemble(source)?;
+            for slot in slots {
+                program.add_slot(slot.name.clone(), slot.insn_index, slot.field)?;
+            }
+            Ok(ProgramTemplate::new(program))
+        })
     }
 
     /// Assembles `source` and attaches `slots` as patch slots, through
@@ -148,27 +183,8 @@ impl ProgramCache {
         source: &str,
         slots: &[SlotSpec],
     ) -> Result<Arc<ProgramTemplate>, DeviceError> {
-        let mut keyed = String::with_capacity(source.len() + slots.len() * 16);
-        keyed.push_str(source);
-        use std::fmt::Write as _;
-        for slot in slots {
-            keyed.push('\0');
-            let _ = write!(keyed, "{slot}");
-        }
-        let key = content_hash(keyed.as_bytes());
-        let mut shelf = self.templates.lock().expect("cache poisoned");
-        if let Some(template) = shelf.get(key, &keyed) {
-            self.hits.inc();
-            return Ok(template);
-        }
-        let mut program = quma_isa::asm::Assembler::new().assemble(source)?;
-        for slot in slots {
-            program.add_slot(slot.name.clone(), slot.insn_index, slot.field)?;
-        }
-        let template = Arc::new(ProgramTemplate::new(program));
-        self.misses.inc();
-        shelf.insert(key, keyed.into(), Arc::clone(&template));
-        Ok(template)
+        self.assemble_template_keyed(source, slots)
+            .map(|(template, _)| template)
     }
 
     /// Submissions served from cache so far.

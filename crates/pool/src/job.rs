@@ -150,6 +150,16 @@ impl std::error::Error for SubmitError {
     }
 }
 
+/// A [`JobSpec`] that `DevicePool::resolve` could not turn into a job.
+#[derive(Debug)]
+pub struct SpecError {
+    /// The sweep point whose program failed; `None` when the job's one
+    /// program or template did.
+    pub point: Option<usize>,
+    /// Why it failed (an assembly or template-slot error).
+    pub error: DeviceError,
+}
+
 /// Execution failure: the job ran (or was about to run) and failed.
 #[derive(Debug)]
 pub enum JobError {
@@ -279,13 +289,13 @@ pub struct Job {
     /// `Shots` jobs: emit a [`ShotChunk`] every `chunk` shots (0 = only
     /// the final result).
     pub(crate) chunk: u64,
-    /// True when the job's program came out of the pool's content-hash
-    /// cache (recorded into [`JobMetrics`]).
+    /// True when every program of the job came out of the pool's
+    /// content-hash cache (recorded into [`JobMetrics`]).
     pub(crate) cache_hit: bool,
-    /// Portable re-run description. When the pool has a journal *and*
-    /// the job carries a spec, the job is journaled (submission record
-    /// before enqueue, results/cancellation on completion) and survives
-    /// a crash; spec-less jobs run exactly as before, un-journaled.
+    /// Portable re-run description. A journaled pool journals every job
+    /// (submission record before enqueue, results/cancellation on
+    /// completion) from it, and rejects jobs without one; an
+    /// un-journaled pool ignores it.
     pub(crate) spec: Option<JobSpec>,
     /// Submitting client id, journaled with the submission record.
     pub(crate) client: String,
@@ -398,15 +408,22 @@ impl Job {
         self
     }
 
-    /// Attaches the portable re-run description that makes this job
-    /// durable on a journaled pool: the submission is journaled before
+    /// Attaches the portable re-run description. A journaled pool needs
+    /// one on every job (it rejects spec-less jobs with
+    /// `SubmitError::InvalidJob`): it journals the submission before
     /// enqueue and the result on completion, so `DevicePool::recover`
-    /// can serve or re-run it after a crash. The spec must describe the
-    /// same work as the job (the serving layer builds both from one
-    /// submission); the pool trusts, and journals, what it is given.
+    /// can serve or re-run the job after a crash. The spec must describe
+    /// the same work as the job; the pool trusts, and journals, what it
+    /// is given. `DevicePool::resolve` builds the job from the spec, so
+    /// the two agree by construction.
     pub fn with_spec(mut self, spec: JobSpec) -> Self {
         self.spec = Some(spec);
         self
+    }
+
+    /// The attached re-run description, if any.
+    pub fn spec(&self) -> Option<&JobSpec> {
+        self.spec.as_ref()
     }
 
     /// Tags the job with the submitting client's id (journaled, and
@@ -542,7 +559,7 @@ pub struct JobHandle {
     outcome: Option<(Result<JobOutput, JobError>, Option<JobMetrics>)>,
     /// Lifecycle phase shared with the queue and the worker.
     phase: Arc<AtomicU8>,
-    /// Present for journaled jobs: a won cancellation race is a durable
+    /// Present on a journaled pool: a won cancellation race is a durable
     /// fact (recovery must not re-run the job), so the handle writes the
     /// `Cancelled` record itself — the worker only learns of the
     /// cancellation later, when it drains the ticket.

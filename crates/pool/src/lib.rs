@@ -51,7 +51,7 @@ mod worker;
 pub use cache::{content_hash, ProgramCache, SlotSpec};
 pub use job::{
     CancelOutcome, ExperimentHandle, Job, JobError, JobHandle, JobId, JobOutput, JobPhase,
-    Priority, ShotChunk, SubmitError,
+    Priority, ShotChunk, SpecError, SubmitError,
 };
 pub use metrics::{JobMetrics, PoolStats};
 pub use pool::{DevicePool, PoolConfig, RecoveredJob, RecoveredPool, RecoveredState};
@@ -62,7 +62,7 @@ pub mod prelude {
     pub use crate::cache::{content_hash, ProgramCache, SlotSpec};
     pub use crate::job::{
         CancelOutcome, ExperimentHandle, Job, JobError, JobHandle, JobId, JobOutput, JobPhase,
-        Priority, ShotChunk, SubmitError,
+        Priority, ShotChunk, SpecError, SubmitError,
     };
     pub use crate::metrics::{JobMetrics, PoolStats};
     pub use crate::pool::{DevicePool, PoolConfig, RecoveredJob, RecoveredPool, RecoveredState};
@@ -150,6 +150,59 @@ mod tests {
         assert!(matches!(err, SubmitError::InvalidJob(_)));
         assert!(err.to_string().contains("rejected"));
         assert!(std::error::Error::source(&err).is_some());
+    }
+
+    #[test]
+    fn a_journaled_pool_rejects_jobs_without_a_spec() {
+        // Journaling is a property of the pool: a spec-less job would
+        // run with no submission record, invisible to recovery.
+        let dir = std::env::temp_dir().join(format!("quma-pool-specless-{}", std::process::id()));
+        let journaled = || {
+            PoolConfig::new(config())
+                .with_workers(1)
+                .with_journal(JournalConfig::new(&dir))
+        };
+        let pool = DevicePool::new(journaled()).unwrap();
+        let program = pool.assemble(SEGMENT).unwrap();
+        let err = pool
+            .submit(Job::shots(std::sync::Arc::clone(&program), 1))
+            .unwrap_err();
+        assert!(matches!(err, SubmitError::InvalidJob(_)), "{err}");
+        let err = pool
+            .resubmit_recovered(7, Job::shots(program, 1))
+            .unwrap_err();
+        assert!(matches!(err, SubmitError::InvalidJob(_)), "{err}");
+        // The same work with its spec is accepted and journaled.
+        assert!(pool.submit_assembly(SEGMENT, 1).unwrap().wait().is_ok());
+        drop(pool);
+        let recovered = DevicePool::recover(journaled()).unwrap();
+        assert_eq!(recovered.jobs.len(), 1);
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resolved_jobs_hit_the_cache_only_when_every_lookup_hits() {
+        let pool = DevicePool::new(PoolConfig::new(config()).with_workers(1)).unwrap();
+        let point = |source: &str| quma_journal::SweepPointSpec {
+            source: source.to_string(),
+            chip: 1,
+            jitter: 2,
+        };
+        pool.assemble(SEGMENT).unwrap();
+        let sweep = || JobSpec::Sweep {
+            points: vec![point(SEGMENT), point("Wait 10\nhalt\n")],
+        };
+        assert!(
+            !pool.resolve(sweep()).unwrap().cache_hit,
+            "one point missed"
+        );
+        assert!(pool.resolve(sweep()).unwrap().cache_hit, "every point hit");
+        let bad = JobSpec::Sweep {
+            points: vec![point(SEGMENT), point("not an instruction\n")],
+        };
+        let err = pool.resolve(bad).unwrap_err();
+        assert_eq!(err.point, Some(1));
     }
 
     #[test]

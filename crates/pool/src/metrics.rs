@@ -24,12 +24,12 @@ pub struct JobMetrics {
     pub queue_wait: Duration,
     /// Time spent running on the worker.
     pub run_time: Duration,
-    /// True when the pool resolved this job's program from the
-    /// content-hash cache *at submission* — i.e. a
-    /// `DevicePool::submit_assembly` call whose source was already
-    /// cached. Jobs built from pre-assembled `Arc`s (including ones a
-    /// separate `pool.assemble` call fetched from the cache) report
-    /// `false` here; pool-wide cache accounting lives in
+    /// True when `DevicePool::resolve` found every program of this
+    /// job's spec in the content-hash cache (a sweep hits only when
+    /// every point hits) — a served job, a `submit_assembly` call, or a
+    /// recovered job. Jobs built from pre-assembled `Arc`s (including
+    /// ones a separate `pool.assemble` call fetched from the cache)
+    /// report `false`; pool-wide cache accounting lives in
     /// [`PoolStats::cache_hits`].
     pub cache_hit: bool,
 }

@@ -3,7 +3,8 @@
 
 use crate::cache::{ProgramCache, SlotSpec};
 use crate::job::{
-    ExperimentHandle, Job, JobHandle, JobId, JobOutput, Priority, QueuedJob, Resume, SubmitError,
+    ExperimentHandle, Job, JobHandle, JobId, JobOutput, Priority, QueuedJob, Resume, SpecError,
+    SubmitError,
 };
 use crate::metrics::{PoolMetrics, PoolStats};
 use crate::worker::worker_loop;
@@ -35,11 +36,12 @@ pub struct PoolConfig {
     /// The base device configuration every worker keeps warm; jobs
     /// without an override run on it.
     pub device: DeviceConfig,
-    /// Durability: when set, jobs that carry a [`JobSpec`] are journaled
-    /// (submission before enqueue, checkpoints per sweep block, result
-    /// or cancellation on completion) and [`DevicePool::recover`] can
-    /// rebuild them after a crash. `None` (the default) journals
-    /// nothing and costs nothing.
+    /// Durability: when set, every job is journaled from the
+    /// [`JobSpec`] it carries (submission before enqueue, checkpoints
+    /// per sweep block, result or cancellation on completion) and
+    /// [`DevicePool::recover`] can rebuild it after a crash; a job
+    /// without a spec is rejected at submit. `None` (the default)
+    /// journals nothing and costs nothing.
     pub journal: Option<JournalConfig>,
     /// Span-trace ring-buffer capacity in events; `0` (the default)
     /// disables tracing entirely — no buffer is allocated and the
@@ -74,7 +76,7 @@ impl PoolConfig {
         self
     }
 
-    /// Journals spec-carrying jobs under `journal.dir` (builder style).
+    /// Journals every job under `journal.dir` (builder style).
     pub fn with_journal(mut self, journal: JournalConfig) -> Self {
         self.journal = Some(journal);
         self
@@ -240,9 +242,10 @@ impl DevicePool {
 
     /// Submits a job, returning its handle — or typed backpressure when
     /// the job's priority queue is at its bound. Inconsistent jobs (a
-    /// seed plan or chunk size on a kind that cannot honor it) are
-    /// rejected here with [`SubmitError::InvalidJob`] instead of being
-    /// silently ignored at run time.
+    /// seed plan or chunk size on a kind that cannot honor it, or no
+    /// spec on a journaled pool) are rejected here with
+    /// [`SubmitError::InvalidJob`] instead of being silently ignored (or
+    /// silently left un-journaled) at run time.
     pub fn submit(&self, job: Job) -> Result<JobHandle, SubmitError> {
         self.submit_inner(job, None, false)
     }
@@ -261,7 +264,7 @@ impl DevicePool {
         self.submit_inner(job, Some(id), true)
     }
 
-    /// Whether this pool journals spec-carrying jobs.
+    /// Whether this pool journals its jobs.
     pub fn journaled(&self) -> bool {
         self.shared.journal.is_some()
     }
@@ -274,6 +277,11 @@ impl DevicePool {
     ) -> Result<JobHandle, SubmitError> {
         let submit_start_ns = self.shared.trace.as_ref().map(|_| now_ns());
         job.validate().map_err(SubmitError::InvalidJob)?;
+        if self.journaled() && job.spec.is_none() {
+            return Err(SubmitError::InvalidJob(DeviceError::Config(
+                "a journaled pool needs a spec on every job (Job::with_spec)".to_string(),
+            )));
+        }
         let submitters = self.submitters.as_ref().ok_or(SubmitError::ShutDown)?;
         let id = match fixed_id {
             Some(id) => id,
@@ -281,34 +289,23 @@ impl DevicePool {
         };
         // A journaled job writes its submission record *before* it can
         // possibly run: recovery must never see a result it has no
-        // submission for. Only spec-carrying jobs on a journaled pool pay
-        // this; everything else takes the allocation-free path unchanged.
-        let journal = match (&self.shared.journal, &job.spec) {
-            (Some(journal), Some(spec)) => {
-                if fixed_id.is_none() {
-                    journal
-                        .append_traced(
-                            &WalRecord::Submitted {
-                                id,
-                                priority: match job.priority {
-                                    Priority::High => 1,
-                                    Priority::Normal => 0,
-                                },
-                                client: job.client.clone(),
-                                spec: spec.clone(),
-                            },
-                            id,
-                        )
-                        .map_err(|e| {
-                            SubmitError::InvalidJob(DeviceError::Config(format!(
-                                "journal append failed: {e}"
-                            )))
-                        })?;
-                }
-                Some(Arc::clone(journal))
-            }
-            _ => None,
-        };
+        // submission for. Only a journaled pool pays this; an
+        // un-journaled one takes the allocation-free path.
+        let journal = self.shared.journal.clone();
+        if let (Some(journal), Some(spec), None) = (&journal, &job.spec, fixed_id) {
+            let record = WalRecord::Submitted {
+                id,
+                priority: match job.priority {
+                    Priority::High => 1,
+                    Priority::Normal => 0,
+                },
+                client: job.client.clone(),
+                spec: spec.clone(),
+            };
+            journal.append_traced(&record, id).map_err(|e| {
+                SubmitError::InvalidJob(DeviceError::Config(format!("journal append failed: {e}")))
+            })?;
+        }
         let (events_tx, events_rx) = channel::unbounded();
         let priority = job.priority;
         let phase = Arc::new(AtomicU8::new(crate::job::PHASE_QUEUED));
@@ -377,24 +374,97 @@ impl DevicePool {
     /// journaled pool the submission is durable: the source itself is
     /// the job's re-run description.
     pub fn submit_assembly(&self, source: &str, shots: u64) -> Result<JobHandle, SubmitError> {
-        let (program, hit) = self
-            .shared
-            .cache
-            .assemble_keyed(source)
-            .map_err(SubmitError::InvalidJob)?;
-        let mut job = Job::shots(program, shots).mark_cache_hit(hit);
-        if self.shared.journal.is_some() {
-            job = job.with_spec(JobSpec::Shots {
-                source: source.to_string(),
-                shots,
-                plan: None,
-                chunk: 0,
-            });
-        }
+        let spec = JobSpec::Shots {
+            source: source.to_string(),
+            shots,
+            plan: None,
+            chunk: 0,
+        };
+        let job = self
+            .resolve(spec)
+            .map_err(|e| SubmitError::InvalidJob(e.error))?;
         self.submit(job)
     }
 
+    /// Turns a portable job description into a runnable [`Job`] that
+    /// carries it — the one place a spec becomes work, shared by the
+    /// serving layer, [`DevicePool::submit_assembly`] and recovery.
+    /// Programs come through the content-hash cache, and the job's
+    /// `cache_hit` is true when every lookup hit. An
+    /// [`JobSpec::Opaque`] spec is an error: only the layer that
+    /// journaled it knows how to rebuild the job.
+    pub fn resolve(&self, spec: JobSpec) -> Result<Job, SpecError> {
+        let cache = &self.shared.cache;
+        let whole = |error| SpecError { point: None, error };
+        let (job, hit) = match &spec {
+            JobSpec::Shots {
+                source,
+                shots,
+                plan,
+                chunk,
+            } => {
+                let (program, hit) = cache.assemble_keyed(source).map_err(whole)?;
+                let mut job = Job::shots(program, *shots).with_chunk_shots(*chunk);
+                if let Some((chip_base, jitter_base)) = *plan {
+                    job = job.with_seed_plan(SeedPlan {
+                        chip_base,
+                        jitter_base,
+                    });
+                }
+                (job, hit)
+            }
+            JobSpec::Sweep { points } => {
+                let mut all_hit = true;
+                let mut prepared = Vec::with_capacity(points.len());
+                for (i, point) in points.iter().enumerate() {
+                    let at_point = |error| SpecError {
+                        point: Some(i),
+                        error,
+                    };
+                    let (program, hit) = cache.assemble_keyed(&point.source).map_err(at_point)?;
+                    all_hit &= hit;
+                    let seeds = ShotSeeds {
+                        chip: point.chip,
+                        jitter: point.jitter,
+                    };
+                    prepared.push((LoadedProgram::from_arc(program), seeds));
+                }
+                (Job::sweep(prepared), all_hit)
+            }
+            JobSpec::TemplateSweep {
+                source,
+                slots,
+                points,
+            } => {
+                let (template, hit) = cache
+                    .assemble_template_keyed(source, slots)
+                    .map_err(whole)?;
+                let points = points
+                    .iter()
+                    .map(|point| TemplatePoint {
+                        patches: point.patches.clone(),
+                        seeds: ShotSeeds {
+                            chip: point.chip,
+                            jitter: point.jitter,
+                        },
+                    })
+                    .collect();
+                (Job::template_sweep(template, points), hit)
+            }
+            JobSpec::Opaque { tag, .. } => {
+                return Err(whole(DeviceError::Config(format!(
+                    "an opaque '{tag}' spec is rebuilt by the layer that journaled it"
+                ))))
+            }
+        };
+        Ok(job.mark_cache_hit(hit).with_spec(spec))
+    }
+
     /// Submits an experiment and returns a handle typed with its output.
+    /// A journaled pool rejects it ([`SubmitError::InvalidJob`]): an
+    /// experiment has no spec the pool can rebuild it from. Submit
+    /// [`Job::experiment`] with a [`JobSpec::Opaque`] spec there
+    /// instead.
     pub fn submit_experiment<E>(
         &self,
         exp: E,
@@ -548,16 +618,17 @@ impl DevicePool {
         }
         let mut jobs = Vec::with_capacity(replayed.len());
         for entry in replayed {
-            let state = pool.recover_one(&entry)?;
+            let priority = if entry.priority == 1 {
+                Priority::High
+            } else {
+                Priority::Normal
+            };
+            let state = pool.recover_one(&entry, priority)?;
             pool.shared.metrics.recovered_jobs.inc();
             jobs.push(RecoveredJob {
                 id: entry.id,
                 client: entry.client,
-                priority: if entry.priority == 1 {
-                    Priority::High
-                } else {
-                    Priority::Normal
-                },
+                priority,
                 spec: entry.spec,
                 state,
             });
@@ -567,7 +638,11 @@ impl DevicePool {
 
     /// Maps one replayed ledger entry to its recovered disposition,
     /// re-enqueuing when there is work left to run.
-    fn recover_one(&self, entry: &ReplayedJob) -> Result<RecoveredState, DeviceError> {
+    fn recover_one(
+        &self,
+        entry: &ReplayedJob,
+        priority: Priority,
+    ) -> Result<RecoveredState, DeviceError> {
         match &entry.outcome {
             ReplayedOutcome::Cancelled => Ok(RecoveredState::Cancelled),
             ReplayedOutcome::Failed { detail } => Ok(RecoveredState::Failed(detail.clone())),
@@ -592,87 +667,31 @@ impl DevicePool {
                 }
                 // Opaque outputs were never durable; the layer that
                 // understands the tag decides whether to re-run.
-                JobSpec::Opaque { tag, payload } => Ok(RecoveredState::NeedsResubmit {
-                    tag: tag.clone(),
-                    payload: payload.clone(),
-                }),
+                JobSpec::Opaque { .. } => Ok(RecoveredState::NeedsResubmit),
                 // A marker without its checkpoints (torn tail ate them,
                 // or the completion payload failed to read): the work is
                 // deterministic, so re-running is always bit-safe.
-                _ => self.requeue(entry),
+                _ => self.requeue(entry, priority),
             },
             ReplayedOutcome::Unfinished => match &entry.spec {
-                JobSpec::Opaque { tag, payload } => Ok(RecoveredState::NeedsResubmit {
-                    tag: tag.clone(),
-                    payload: payload.clone(),
-                }),
-                _ => self.requeue(entry),
+                JobSpec::Opaque { .. } => Ok(RecoveredState::NeedsResubmit),
+                _ => self.requeue(entry, priority),
             },
         }
     }
 
     /// Rebuilds a runnable [`Job`] from a journaled spec and re-enqueues
     /// it under its original id, resuming past checkpointed points.
-    fn requeue(&self, entry: &ReplayedJob) -> Result<RecoveredState, DeviceError> {
-        let mut job = match &entry.spec {
-            JobSpec::Shots {
-                source,
-                shots,
-                plan,
-                chunk,
-            } => {
-                let (program, hit) = self.shared.cache.assemble_keyed(source)?;
-                let mut job = Job::shots(program, *shots).mark_cache_hit(hit);
-                if let Some((chip_base, jitter_base)) = plan {
-                    job = job.with_seed_plan(SeedPlan {
-                        chip_base: *chip_base,
-                        jitter_base: *jitter_base,
-                    });
-                }
-                job.with_chunk_shots(*chunk)
-            }
-            JobSpec::Sweep { points } => {
-                let mut rebuilt = Vec::with_capacity(points.len());
-                for point in points {
-                    let program = self.shared.cache.assemble(&point.source)?;
-                    rebuilt.push((
-                        LoadedProgram::from_arc(program),
-                        ShotSeeds {
-                            chip: point.chip,
-                            jitter: point.jitter,
-                        },
-                    ));
-                }
-                Job::sweep(rebuilt)
-            }
-            JobSpec::TemplateSweep {
-                source,
-                slots,
-                points,
-            } => {
-                let template = self.shared.cache.assemble_template(source, slots)?;
-                let rebuilt = points
-                    .iter()
-                    .map(|point| TemplatePoint {
-                        patches: point.patches.clone(),
-                        seeds: ShotSeeds {
-                            chip: point.chip,
-                            jitter: point.jitter,
-                        },
-                    })
-                    .collect();
-                Job::template_sweep(template, rebuilt)
-            }
-            JobSpec::Opaque { .. } => unreachable!("opaque specs map to NeedsResubmit"),
-        };
-        job = job
-            .with_spec(entry.spec.clone())
+    fn requeue(
+        &self,
+        entry: &ReplayedJob,
+        priority: Priority,
+    ) -> Result<RecoveredState, DeviceError> {
+        let mut job = self
+            .resolve(entry.spec.clone())
+            .map_err(|e| e.error)?
             .with_client(entry.client.clone())
-            .with_priority(if entry.priority == 1 {
-                Priority::High
-            } else {
-                Priority::Normal
-            });
+            .with_priority(priority);
         if entry.done > 0 {
             job.resume = Some(Resume {
                 done: entry.done,
@@ -750,14 +769,8 @@ pub enum RecoveredState {
     Resumed(JobHandle),
     /// An opaque (experiment) job whose submission only the serving
     /// layer can reconstruct; it must decide whether to resubmit the
-    /// journaled payload.
-    NeedsResubmit {
-        /// The tag the submitting layer journaled (e.g. the experiment
-        /// kind).
-        tag: String,
-        /// The opaque re-submission payload it journaled.
-        payload: Vec<u8>,
-    },
+    /// payload of the [`JobSpec::Opaque`] in [`RecoveredJob::spec`].
+    NeedsResubmit,
     /// The job was durably cancelled; it stays cancelled.
     Cancelled,
     /// The job durably failed with this error text.

@@ -196,10 +196,6 @@ fn run_job(worker: usize, shared: &Arc<PoolShared>, warm: &mut WarmSet, queued: 
         });
         return;
     }
-    let journal = match (&shared.journal, &job.spec) {
-        (Some(journal), Some(_)) => Some(Arc::clone(journal)),
-        _ => None,
-    };
     let result = execute(worker, shared, warm, &events, id, job);
     // Journal the terminal state before the handle can observe it, so a
     // client that saw a result can rely on recovery re-serving it. Batch
@@ -208,7 +204,7 @@ fn run_job(worker: usize, shared: &Arc<PoolShared>, warm: &mut WarmSet, queued: 
     // experiment outputs are not durable (marker-only too). A journal IO
     // failure here is not a job failure — the in-memory result is intact
     // and recovery simply re-runs deterministic work.
-    if let Some(journal) = &journal {
+    if let Some(journal) = &shared.journal {
         let record = match &result {
             Ok(JobOutput::Batch(batch)) => journal
                 .append_reports_traced(&batch.shots, id)
@@ -339,10 +335,7 @@ fn execute(
     let shots = matches!(batch, Batch::Shots { .. });
     // Only journaled sweeps checkpoint; a journaled shot batch is written
     // whole on completion.
-    let journal = match (&shared.journal, &job.spec) {
-        (Some(journal), Some(_)) if !shots => Some(journal),
-        _ => None,
-    };
+    let journal = shared.journal.as_ref().filter(|_| !shots);
     let total = batch.len();
     // Any nonzero chunk streams — `chunk >= shots` still emits the one
     // covering chunk a streaming client waits for.

@@ -182,7 +182,10 @@ impl std::fmt::Display for Json {
 /// bit-identity contract needs. JSON has no spelling for non-finite
 /// numbers; they encode as `null` (the API never produces them).
 fn write_f64(f: f64, out: &mut String) {
-    if f.is_finite() {
+    if f == 0.0 && f.is_sign_negative() {
+        // "-0" would re-parse as Int(0) and lose the sign bit.
+        out.push_str("-0.0");
+    } else if f.is_finite() {
         let s = f.to_string();
         out.push_str(&s);
         // "1" would re-parse as Int(1); same number, so that's fine.
@@ -467,7 +470,7 @@ mod tests {
 
     #[test]
     fn round_trips_floats_bit_exactly() {
-        for f in [0.25f64, -1.5e-300, 0.1, 1.0 / 3.0, f64::MAX, 5e-324] {
+        for f in [0.25f64, -1.5e-300, 0.1, 1.0 / 3.0, f64::MAX, 5e-324, -0.0] {
             let text = Json::Float(f).encode();
             let got = Json::parse(&text).unwrap().as_f64().unwrap();
             assert_eq!(got.to_bits(), f.to_bits(), "{text}");

@@ -14,10 +14,7 @@ use std::sync::Mutex;
 use crate::json::Json;
 use crate::problem::ProblemJson;
 use crate::wire;
-use quma_pool::prelude::{CancelOutcome, JobError, JobHandle, JobId, JobOutput, JobPhase};
-
-/// Converts a finished output into its response document.
-type Render = Box<dyn FnOnce(JobOutput) -> Json + Send>;
+use quma_pool::prelude::{CancelOutcome, JobError, JobHandle, JobId, JobPhase, JobSpec};
 
 /// A job's terminal state as the server remembers it once the handle has
 /// been consumed.
@@ -30,9 +27,9 @@ enum Outcome {
     Cancelled,
 }
 
-/// How a journal-recovered job enters the registry (see
-/// [`Registry::insert_recovered`]).
-pub(crate) enum RecoveredSeed {
+/// How a job enters the registry (see [`Registry::insert`]): live for a
+/// fresh submission, any of these for a journal-recovered job.
+pub(crate) enum Seed {
     /// Finished before the crash; served from the result log.
     Done {
         /// The rendered result document.
@@ -44,14 +41,20 @@ pub(crate) enum RecoveredSeed {
     Failed(String),
     /// Durably cancelled; `DELETE` now answers 409.
     Cancelled,
-    /// Still has work: the resumed handle plus its render closure.
-    Live {
-        /// The handle `DevicePool::recover` (or an opaque resubmission)
-        /// returned, carrying the job's original id.
-        handle: JobHandle,
-        /// Converts the finished output to its response document.
-        render: Render,
-    },
+    /// Still has work: the pool's handle (for a recovered job, the one
+    /// `DevicePool::recover` or an opaque resubmission returned, under
+    /// the job's original id).
+    Live(JobHandle),
+}
+
+/// A job's registry labels, read off its spec: the wire kind and, for
+/// experiment jobs, the experiment name.
+pub(crate) fn labels(spec: &JobSpec) -> (&'static str, Option<&'static str>) {
+    let experiment = match spec {
+        JobSpec::Opaque { tag, .. } => wire::EXPERIMENTS.into_iter().find(|name| name == tag),
+        _ => None,
+    };
+    (spec.kind(), experiment)
 }
 
 /// One served job.
@@ -61,7 +64,6 @@ struct Record {
     client: String,
     /// Live handle; `None` once the terminal event has been consumed.
     handle: Option<JobHandle>,
-    render: Option<Render>,
     /// Streamed chunks, already encoded, in arrival order.
     chunks: Vec<Json>,
     outcome: Option<Outcome>,
@@ -86,12 +88,8 @@ impl Record {
         // and `wait` returns without blocking.
         self.metrics = handle.metrics().map(wire::encode_metrics);
         let handle = self.handle.take().expect("handle present");
-        let render = self.render.take();
         self.outcome = Some(match handle.wait() {
-            Ok(output) => match render {
-                Some(render) => Outcome::Done(render(output)),
-                None => Outcome::Done(Json::Null),
-            },
+            Ok(output) => Outcome::Done(wire::encode_output(output)),
             Err(JobError::Cancelled) => Outcome::Cancelled,
             Err(e) => Outcome::Failed(e.to_string()),
         });
@@ -158,70 +156,41 @@ impl Registry {
         }
     }
 
-    /// Registers a freshly submitted job and returns its status doc.
+    /// Registers a job under its pool id with its [`labels`] and
+    /// returns its status doc. A journal-recovered job keeps its
+    /// *original* id, so clients polling `/jobs/{id}` across the restart
+    /// keep hitting the same job; its terminal seeds carry
+    /// already-encoded documents.
     pub(crate) fn insert(
         &self,
-        handle: JobHandle,
-        kind: &'static str,
-        experiment: Option<&'static str>,
-        client: String,
-        render: Render,
-    ) -> Json {
-        let id = handle.id();
-        let record = Record {
-            kind,
-            experiment,
-            client,
-            handle: Some(handle),
-            render: Some(render),
-            chunks: Vec::new(),
-            outcome: None,
-            metrics: None,
-        };
-        let status = record.status_json(id);
-        let mut inner = self.inner.lock().expect("registry poisoned");
-        inner.order.push(id);
-        inner.records.insert(id, record);
-        status
-    }
-
-    /// Registers a job recovered from the journal under its *original*
-    /// id, so clients polling `/jobs/{id}` across the restart keep
-    /// hitting the same job. Terminal seeds carry their already-rendered
-    /// documents; live seeds carry the resumed handle.
-    pub(crate) fn insert_recovered(
-        &self,
         id: JobId,
-        kind: &'static str,
-        experiment: Option<&'static str>,
+        (kind, experiment): (&'static str, Option<&'static str>),
         client: String,
-        seed: RecoveredSeed,
-    ) {
+        seed: Seed,
+    ) -> Json {
         let mut record = Record {
             kind,
             experiment,
             client,
             handle: None,
-            render: None,
             chunks: Vec::new(),
             outcome: None,
             metrics: None,
         };
         match seed {
-            RecoveredSeed::Done { result, chunks } => {
+            Seed::Done { result, chunks } => {
                 record.chunks = chunks;
                 record.outcome = Some(Outcome::Done(result));
             }
-            RecoveredSeed::Failed(detail) => record.outcome = Some(Outcome::Failed(detail)),
-            RecoveredSeed::Cancelled => record.outcome = Some(Outcome::Cancelled),
-            RecoveredSeed::Live { handle, render } => {
-                record.handle = Some(handle);
-                record.render = Some(render);
-            }
+            Seed::Failed(detail) => record.outcome = Some(Outcome::Failed(detail)),
+            Seed::Cancelled => record.outcome = Some(Outcome::Cancelled),
+            Seed::Live(handle) => record.handle = Some(handle),
         }
+        let status = record.status_json(id);
         let mut inner = self.inner.lock().expect("registry poisoned");
         inner.order.push(id);
         inner.records.insert(id, record);
+        status
     }
 
     /// `GET /jobs/{id}`.

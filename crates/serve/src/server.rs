@@ -19,13 +19,13 @@ use crate::http::{read_request, write_response, HttpError, Request, Response};
 use crate::json::Json;
 use crate::problem::ProblemJson;
 use crate::quota::{Quota, QuotaLedger};
-use crate::registry::{RecoveredSeed, Registry};
+use crate::registry::{labels, Registry, Seed};
 use crate::router::{route, RouteMatch, ROUTES};
 use crate::wire;
 use quma_obs::trace::{now_ns, SpanEvent, SpanKind, TraceBuffer};
 use quma_obs::{Counter, Gauge, Histogram, HistogramSnapshot, Registry as MetricRegistry};
 use quma_pool::prelude::{JobId, JobOutput, ShotChunk, SubmitError};
-use quma_pool::{DevicePool, JobSpec, RecoveredPool, RecoveredState};
+use quma_pool::{DevicePool, JobSpec, RecoveredJob, RecoveredPool, RecoveredState};
 
 /// The API version every response announces in `x-quma-api-version`.
 pub const API_VERSION: u32 = 1;
@@ -218,28 +218,27 @@ impl Server {
         let RecoveredPool { pool, jobs } = recovered;
         let registry = Registry::new();
         let count = jobs.len() as u64;
-        for job in jobs {
-            let kind = recovered_kind(&job.spec);
-            let experiment = recovered_experiment(&job.spec);
-            let seed = match job.state {
-                RecoveredState::Done(output) => RecoveredSeed::Done {
-                    chunks: recovered_chunks(&job.spec, &output),
-                    result: wire::render_for_kind(kind)(output),
+        for RecoveredJob {
+            id,
+            client,
+            spec,
+            state,
+            ..
+        } in jobs
+        {
+            let seed = match state {
+                RecoveredState::Done(output) => Seed::Done {
+                    chunks: recovered_chunks(&spec, &output),
+                    result: wire::encode_output(output),
                 },
-                RecoveredState::Resumed(handle) => RecoveredSeed::Live {
-                    handle,
-                    render: wire::render_for_kind(kind),
-                },
-                RecoveredState::Cancelled => RecoveredSeed::Cancelled,
-                RecoveredState::Failed(detail) => RecoveredSeed::Failed(detail),
-                RecoveredState::NeedsResubmit { payload, .. } => {
-                    match resubmit_opaque(&pool, job.id, &payload, &job.client) {
-                        Ok(seed) => seed,
-                        Err(detail) => RecoveredSeed::Failed(detail),
-                    }
+                RecoveredState::Resumed(handle) => Seed::Live(handle),
+                RecoveredState::Cancelled => Seed::Cancelled,
+                RecoveredState::Failed(detail) => Seed::Failed(detail),
+                RecoveredState::NeedsResubmit => {
+                    resubmit_opaque(&pool, id, &spec, &client).unwrap_or_else(Seed::Failed)
                 }
             };
-            registry.insert_recovered(job.id, kind, experiment, job.client, seed);
+            registry.insert(id, labels(&spec), client, seed);
         }
         let server = Self::start_inner(pool, registry, count, config)?;
         Ok(server)
@@ -341,28 +340,6 @@ impl Drop for Server {
     }
 }
 
-/// The registry kind string for a recovered job's spec.
-fn recovered_kind(spec: &JobSpec) -> &'static str {
-    match spec.kind() {
-        "shots" => "shots",
-        "sweep" => "sweep",
-        "template_sweep" => "template_sweep",
-        _ => "experiment",
-    }
-}
-
-/// The experiment name a recovered opaque job was journaled under.
-fn recovered_experiment(spec: &JobSpec) -> Option<&'static str> {
-    match spec {
-        JobSpec::Opaque { tag, .. } => match tag.as_str() {
-            "allxy" => Some("allxy"),
-            "qec" => Some("qec"),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
 /// Re-renders the chunk documents of a recovered chunked shot batch, so
 /// `GET /jobs/{id}/chunks` answers across the restart exactly as it did
 /// before it (chunk boundaries come from the journaled spec; contents
@@ -388,27 +365,27 @@ fn recovered_chunks(spec: &JobSpec, output: &JobOutput) -> Vec<Json> {
         .collect()
 }
 
-/// Rebuilds an opaque (experiment) job from its journaled submission
-/// document and re-enters it into the pool under its original id.
+/// Rebuilds an opaque (experiment) job from the submission document its
+/// spec carries and re-enters it into the pool under its original id.
 fn resubmit_opaque(
     pool: &DevicePool,
     id: JobId,
-    payload: &[u8],
+    spec: &JobSpec,
     client: &str,
-) -> Result<RecoveredSeed, String> {
+) -> Result<Seed, String> {
+    let JobSpec::Opaque { payload, .. } = spec else {
+        return Err("only an opaque spec is resubmitted".to_string());
+    };
     let text = std::str::from_utf8(payload)
         .map_err(|_| "journaled submission payload is not UTF-8".to_string())?;
     let doc =
         Json::parse(text).map_err(|e| format!("journaled submission failed to parse: {e}"))?;
-    let submission = wire::parse_submission(&doc, pool)
+    let rebuilt = wire::parse_submission(&doc, pool)
         .map_err(|p| format!("journaled submission failed to validate: {}", p.detail))?;
     let handle = pool
-        .resubmit_recovered(id, submission.job.with_client(client))
+        .resubmit_recovered(id, rebuilt.with_client(client))
         .map_err(|e| format!("recovered job re-enqueue failed: {e}"))?;
-    Ok(RecoveredSeed::Live {
-        handle,
-        render: submission.render,
-    })
+    Ok(Seed::Live(handle))
 }
 
 /// Serves one connection until close, error, or shutdown.
@@ -612,16 +589,14 @@ fn submit_job(shared: &Shared, request: &Request) -> Response {
             return ProblemJson::bad_request(format!("body is not valid JSON: {e}")).into_response()
         }
     };
-    let submission = match wire::parse_submission(&doc, &shared.pool) {
-        Ok(submission) => submission,
+    let job = match wire::parse_submission(&doc, &shared.pool) {
+        Ok(job) => job,
         Err(problem) => return problem.into_response(),
     };
+    let labels = labels(job.spec().expect("the wire attaches a spec to every job"));
     // Tag the job with its client so a journaled submission record (and
     // any recovery of it) carries the same attribution the registry does.
-    let handle = match shared
-        .pool
-        .submit(submission.job.with_client(client.clone()))
-    {
+    let handle = match shared.pool.submit(job.with_client(client.clone())) {
         Ok(handle) => handle,
         Err(SubmitError::QueueFull { priority, depth }) => {
             return ProblemJson::queue_full(
@@ -638,13 +613,9 @@ fn submit_job(shared: &Shared, request: &Request) -> Response {
     };
     shared.metrics.submitted.inc();
     let id = handle.id();
-    let status = shared.registry.insert(
-        handle,
-        submission.kind,
-        submission.experiment,
-        client,
-        submission.render,
-    );
+    let status = shared
+        .registry
+        .insert(id, labels, client, Seed::Live(handle));
     Response::json(201, &status).with_header("location", format!("/jobs/{id}"))
 }
 

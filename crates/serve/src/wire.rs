@@ -12,31 +12,25 @@
 use crate::json::Json;
 use crate::problem::ProblemJson;
 use quma_core::prelude::ChipProfile;
-use quma_core::prelude::{BatchReport, RunReport, SeedPlan, ShotSeeds, TemplatePoint};
+use quma_core::prelude::{BatchReport, RunReport};
 use quma_experiments::prelude::{
     Allxy, AllxyConfig, AllxyResult, QecConfig, QecInjected, QecResult,
 };
 use quma_isa::template::PatchField;
 use quma_journal::{JobSpec, SweepPointSpec, TemplatePointSpec};
-use quma_pool::prelude::{Job, JobMetrics, JobOutput, Priority, ShotChunk, SlotSpec};
+use quma_pool::prelude::{Job, JobMetrics, JobOutput, Priority, ShotChunk, SlotSpec, SpecError};
 use quma_pool::DevicePool;
 
-/// What one validated `POST /jobs` body builds: the pool job plus the
-/// serving-side description of it.
-pub(crate) struct Submission {
-    /// The pool job, ready to submit.
-    pub job: Job,
-    /// The wire name of the kind (`shots` / `sweep` / `template_sweep`
-    /// / `experiment`).
-    pub kind: &'static str,
-    /// The experiment name for experiment jobs.
-    pub experiment: Option<&'static str>,
-    /// Converts the finished output to its response document.
-    pub render: Box<dyn FnOnce(JobOutput) -> Json + Send>,
-}
+/// The experiments `POST /jobs` accepts, by wire name.
+pub(crate) const EXPERIMENTS: [&str; 2] = ["allxy", "qec"];
 
 fn field_problem(detail: impl Into<String>, path: &str) -> ProblemJson {
     ProblemJson::validation(detail).with_context("path", Json::str(path.to_string()))
+}
+
+/// Tags a problem with the index of the `key` array element it is about.
+fn at(key: &'static str, i: usize) -> impl Fn(ProblemJson) -> ProblemJson {
+    move |p| p.with_context(key, Json::Int(i as i64))
 }
 
 fn want_u64(doc: &Json, key: &str, default: Option<u64>) -> Result<u64, ProblemJson> {
@@ -72,21 +66,12 @@ fn want_str<'d>(doc: &'d Json, key: &str) -> Result<&'d str, ProblemJson> {
         .ok_or_else(|| field_problem(format!("missing string field '{key}'"), key))
 }
 
-fn seeds_from(doc: &Json, key: &str) -> Result<ShotSeeds, ProblemJson> {
+/// A point's `seeds` object as `(chip, jitter)`.
+fn seeds_from(doc: &Json, key: &str) -> Result<(u64, u64), ProblemJson> {
     let obj = doc
         .get(key)
         .ok_or_else(|| field_problem(format!("missing field '{key}'"), key))?;
-    Ok(ShotSeeds {
-        chip: want_u64(obj, "chip", None)?,
-        jitter: want_u64(obj, "jitter", None)?,
-    })
-}
-
-fn plan_from(obj: &Json) -> Result<SeedPlan, ProblemJson> {
-    Ok(SeedPlan {
-        chip_base: want_u64(obj, "chip_base", None)?,
-        jitter_base: want_u64(obj, "jitter_base", None)?,
-    })
+    Ok((want_u64(obj, "chip", None)?, want_u64(obj, "jitter", None)?))
 }
 
 fn profile_from(doc: &Json, key: &str, default: ChipProfile) -> Result<ChipProfile, ProblemJson> {
@@ -104,10 +89,12 @@ fn profile_from(doc: &Json, key: &str, default: ChipProfile) -> Result<ChipProfi
     }
 }
 
-/// Parses and validates a `POST /jobs` body into a [`Submission`].
+/// Parses and validates a `POST /jobs` body into a pool job carrying
+/// its [`JobSpec`]: shots and sweeps parse into a spec the pool
+/// resolves, experiments carry their submission as an opaque spec.
 /// Every rejection is a 422 `validation_error` problem naming the bad
 /// field.
-pub(crate) fn parse_submission(doc: &Json, pool: &DevicePool) -> Result<Submission, ProblemJson> {
+pub(crate) fn parse_submission(doc: &Json, pool: &DevicePool) -> Result<Job, ProblemJson> {
     if !matches!(doc, Json::Obj(_)) {
         return Err(ProblemJson::validation(
             "the job document must be an object",
@@ -126,17 +113,11 @@ pub(crate) fn parse_submission(doc: &Json, pool: &DevicePool) -> Result<Submissi
             }
         },
     };
-    let kind = want_str(doc, "kind")?;
-    let Submission {
-        job,
-        kind,
-        experiment,
-        render,
-    } = match kind {
-        "shots" => parse_shots(doc, pool)?,
-        "sweep" => parse_sweep(doc, pool)?,
-        "template_sweep" => parse_template_sweep(doc, pool)?,
-        "experiment" => parse_experiment(doc, pool.journaled())?,
+    let job = match want_str(doc, "kind")? {
+        "shots" => resolve(pool, parse_shots(doc)?)?,
+        "sweep" => resolve(pool, parse_sweep(doc)?)?,
+        "template_sweep" => resolve(pool, parse_template_sweep(doc)?)?,
+        "experiment" => parse_experiment(doc)?,
         other => {
             return Err(field_problem(
                 format!(
@@ -147,63 +128,28 @@ pub(crate) fn parse_submission(doc: &Json, pool: &DevicePool) -> Result<Submissi
             ))
         }
     };
-    let job = if high { job.high_priority() } else { job };
-    Ok(Submission {
-        job,
-        kind,
-        experiment,
-        render,
+    Ok(if high { job.high_priority() } else { job })
+}
+
+/// Resolves a parsed spec through the pool; a program that fails to
+/// assemble is a 422 naming the source (and the sweep point) at fault.
+fn resolve(pool: &DevicePool, spec: JobSpec) -> Result<Job, ProblemJson> {
+    let what = match spec {
+        JobSpec::TemplateSweep { .. } => "template",
+        _ => "assembly",
+    };
+    pool.resolve(spec).map_err(|SpecError { point, error }| {
+        let problem = ProblemJson::validation(format!("{what} rejected: {error}"))
+            .with_context("path", Json::str("source"));
+        match point {
+            Some(i) => at("point", i)(problem),
+            None => problem,
+        }
     })
 }
 
-fn assemble_or_422(
-    pool: &DevicePool,
-    source: &str,
-) -> Result<std::sync::Arc<quma_isa::prelude::Program>, ProblemJson> {
-    pool.assemble(source).map_err(|e| {
-        ProblemJson::validation(format!("assembly rejected: {e}"))
-            .with_context("path", Json::str("source"))
-    })
-}
-
-fn parse_shots(doc: &Json, pool: &DevicePool) -> Result<Submission, ProblemJson> {
-    let source = want_str(doc, "source")?;
-    let shots = want_u64(doc, "shots", None)?;
-    if shots == 0 || shots > 1_000_000 {
-        return Err(field_problem("'shots' must be in 1..=1000000", "shots"));
-    }
-    let program = assemble_or_422(pool, source)?;
-    let mut job = Job::shots(program, shots);
-    let mut spec_plan = None;
-    if let Some(plan) = doc.get("seed_plan") {
-        let plan = plan_from(plan)?;
-        spec_plan = Some((plan.chip_base, plan.jitter_base));
-        job = job.with_seed_plan(plan);
-    }
-    let chunk = want_u64(doc, "chunk_shots", Some(0))?;
-    if chunk > 0 {
-        job = job.with_chunk_shots(chunk);
-    }
-    if pool.journaled() {
-        job = job.with_spec(JobSpec::Shots {
-            source: source.to_string(),
-            shots,
-            plan: spec_plan,
-            chunk,
-        });
-    }
-    Ok(Submission {
-        job,
-        kind: "shots",
-        experiment: None,
-        render: Box::new(|out| match out {
-            JobOutput::Batch(batch) => encode_batch(&batch),
-            other => render_mismatch("batch", &other),
-        }),
-    })
-}
-
-fn parse_sweep(doc: &Json, pool: &DevicePool) -> Result<Submission, ProblemJson> {
+/// The `points` array of a sweep document, 1..=100000 entries long.
+fn points_of(doc: &Json) -> Result<&[Json], ProblemJson> {
     let points = doc
         .get("points")
         .and_then(Json::as_arr)
@@ -214,42 +160,48 @@ fn parse_sweep(doc: &Json, pool: &DevicePool) -> Result<Submission, ProblemJson>
             "points",
         ));
     }
-    let mut prepared = Vec::with_capacity(points.len());
-    let mut spec_points = Vec::new();
-    for (i, point) in points.iter().enumerate() {
-        let source =
-            want_str(point, "source").map_err(|p| p.with_context("point", Json::Int(i as i64)))?;
-        let seeds =
-            seeds_from(point, "seeds").map_err(|p| p.with_context("point", Json::Int(i as i64)))?;
-        let program = assemble_or_422(pool, source)
-            .map_err(|p| p.with_context("point", Json::Int(i as i64)))?;
-        if pool.journaled() {
-            spec_points.push(SweepPointSpec {
-                source: source.to_string(),
-                chip: seeds.chip,
-                jitter: seeds.jitter,
-            });
-        }
-        prepared.push((quma_core::prelude::LoadedProgram::from_arc(program), seeds));
+    Ok(points)
+}
+
+fn parse_shots(doc: &Json) -> Result<JobSpec, ProblemJson> {
+    let source = want_str(doc, "source")?;
+    let shots = want_u64(doc, "shots", None)?;
+    if shots == 0 || shots > 1_000_000 {
+        return Err(field_problem("'shots' must be in 1..=1000000", "shots"));
     }
-    let mut job = Job::sweep(prepared);
-    if pool.journaled() {
-        job = job.with_spec(JobSpec::Sweep {
-            points: spec_points,
-        });
-    }
-    Ok(Submission {
-        job,
-        kind: "sweep",
-        experiment: None,
-        render: Box::new(|out| match out {
-            JobOutput::Reports(reports) => encode_reports(&reports),
-            other => render_mismatch("reports", &other),
-        }),
+    let plan = match doc.get("seed_plan") {
+        Some(plan) => Some((
+            want_u64(plan, "chip_base", None)?,
+            want_u64(plan, "jitter_base", None)?,
+        )),
+        None => None,
+    };
+    Ok(JobSpec::Shots {
+        source: source.to_string(),
+        shots,
+        plan,
+        chunk: want_u64(doc, "chunk_shots", Some(0))?,
     })
 }
 
-fn parse_template_sweep(doc: &Json, pool: &DevicePool) -> Result<Submission, ProblemJson> {
+fn parse_sweep(doc: &Json) -> Result<JobSpec, ProblemJson> {
+    let points = points_of(doc)?
+        .iter()
+        .enumerate()
+        .map(|(i, point)| {
+            let source = want_str(point, "source").map_err(at("point", i))?;
+            let (chip, jitter) = seeds_from(point, "seeds").map_err(at("point", i))?;
+            Ok(SweepPointSpec {
+                source: source.to_string(),
+                chip,
+                jitter,
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(JobSpec::Sweep { points })
+}
+
+fn parse_template_sweep(doc: &Json) -> Result<JobSpec, ProblemJson> {
     let source = want_str(doc, "source")?;
     let slots_doc = doc
         .get("slots")
@@ -257,10 +209,8 @@ fn parse_template_sweep(doc: &Json, pool: &DevicePool) -> Result<Submission, Pro
         .ok_or_else(|| field_problem("'slots' must be an array", "slots"))?;
     let mut slots = Vec::with_capacity(slots_doc.len());
     for (i, slot) in slots_doc.iter().enumerate() {
-        let name =
-            want_str(slot, "name").map_err(|p| p.with_context("slot", Json::Int(i as i64)))?;
-        let insn = want_u64(slot, "instruction", None)
-            .map_err(|p| p.with_context("slot", Json::Int(i as i64)))?;
+        let name = want_str(slot, "name").map_err(at("slot", i))?;
+        let insn = want_u64(slot, "instruction", None).map_err(at("slot", i))?;
         let field = match slot.get("field").and_then(Json::as_str) {
             Some("wait_interval") => PatchField::WaitInterval,
             Some("mov_imm") => PatchField::MovImm,
@@ -269,96 +219,52 @@ fn parse_template_sweep(doc: &Json, pool: &DevicePool) -> Result<Submission, Pro
                 op: want_u64(slot, "op", Some(0))? as usize,
             },
             _ => {
-                return Err(field_problem(
+                return Err(at("slot", i)(field_problem(
                     "'field' must be one of \"wait_interval\", \"mov_imm\", \
                      \"mpg_duration\", \"pulse_uop\"",
                     "field",
-                )
-                .with_context("slot", Json::Int(i as i64)))
+                )))
             }
         };
         slots.push(SlotSpec::new(name, insn as u32, field));
     }
-    let template = pool.assemble_template(source, &slots).map_err(|e| {
-        ProblemJson::validation(format!("template rejected: {e}"))
-            .with_context("path", Json::str("source"))
-    })?;
-    let points_doc = doc
-        .get("points")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| field_problem("'points' must be an array", "points"))?;
-    if points_doc.is_empty() || points_doc.len() > 100_000 {
-        return Err(field_problem(
-            "'points' must hold 1..=100000 points",
-            "points",
-        ));
-    }
+    let points_doc = points_of(doc)?;
     let mut points = Vec::with_capacity(points_doc.len());
     for (i, point) in points_doc.iter().enumerate() {
-        let seeds =
-            seeds_from(point, "seeds").map_err(|p| p.with_context("point", Json::Int(i as i64)))?;
+        let (chip, jitter) = seeds_from(point, "seeds").map_err(at("point", i))?;
         let patches = match point.get("patches") {
             Some(Json::Obj(pairs)) => pairs
                 .iter()
                 .map(|(axis, v)| {
                     v.as_i64().map(|n| (axis.clone(), n)).ok_or_else(|| {
-                        field_problem("patch values must be integers", "patches")
-                            .with_context("point", Json::Int(i as i64))
+                        at("point", i)(field_problem("patch values must be integers", "patches"))
                     })
                 })
                 .collect::<Result<Vec<_>, _>>()?,
             _ => {
-                return Err(field_problem("'patches' must be an object", "patches")
-                    .with_context("point", Json::Int(i as i64)))
+                return Err(at("point", i)(field_problem(
+                    "'patches' must be an object",
+                    "patches",
+                )))
             }
         };
-        points.push(TemplatePoint { patches, seeds });
+        points.push(TemplatePointSpec {
+            patches,
+            chip,
+            jitter,
+        });
     }
-    let job = if pool.journaled() {
-        let spec = JobSpec::TemplateSweep {
-            source: source.to_string(),
-            slots,
-            points: points
-                .iter()
-                .map(|p| TemplatePointSpec {
-                    patches: p.patches.clone(),
-                    chip: p.seeds.chip,
-                    jitter: p.seeds.jitter,
-                })
-                .collect(),
-        };
-        Job::template_sweep(template, points).with_spec(spec)
-    } else {
-        Job::template_sweep(template, points)
-    };
-    Ok(Submission {
-        job,
-        kind: "template_sweep",
-        experiment: None,
-        render: Box::new(|out| match out {
-            JobOutput::Reports(reports) => encode_reports(&reports),
-            other => render_mismatch("reports", &other),
-        }),
+    Ok(JobSpec::TemplateSweep {
+        source: source.to_string(),
+        slots,
+        points,
     })
 }
 
-fn parse_experiment(doc: &Json, journaled: bool) -> Result<Submission, ProblemJson> {
+fn parse_experiment(doc: &Json) -> Result<Job, ProblemJson> {
     let name = want_str(doc, "experiment")?;
-    // Experiment configs are typed per experiment, so the journal gets
-    // the whole submission document as an opaque payload; recovery hands
-    // it back to `parse_submission` to rebuild the job.
-    let spec = |tag: &str| {
-        journaled.then(|| JobSpec::Opaque {
-            tag: tag.to_string(),
-            payload: doc.encode().into_bytes(),
-        })
-    };
-    let with_spec = |job: Job, tag: &str| match spec(tag) {
-        Some(spec) => job.with_spec(spec),
-        None => job,
-    };
     let cfg = doc.get("config").cloned().unwrap_or(Json::Obj(Vec::new()));
-    match name {
+    let job = match name {
         "allxy" => {
             let defaults = AllxyConfig::default();
             let config = AllxyConfig {
@@ -370,15 +276,7 @@ fn parse_experiment(doc: &Json, journaled: bool) -> Result<Submission, ProblemJs
                 seed: want_u64(&cfg, "seed", Some(defaults.seed))?,
                 ..defaults
             };
-            Ok(Submission {
-                job: with_spec(Job::experiment(Allxy, config), "allxy"),
-                kind: "experiment",
-                experiment: Some("allxy"),
-                render: Box::new(|out| match out.downcast::<AllxyResult>() {
-                    Some(result) => encode_allxy(&result),
-                    None => Json::Null,
-                }),
-            })
+            Job::experiment(Allxy, config)
         }
         "qec" => {
             let defaults = QecConfig::default();
@@ -410,46 +308,39 @@ fn parse_experiment(doc: &Json, journaled: bool) -> Result<Submission, ProblemJs
                 init_cycles: want_u64(&cfg, "init_cycles", Some(u64::from(defaults.init_cycles)))?
                     as u32,
             };
-            Ok(Submission {
-                job: with_spec(Job::experiment(QecInjected::default(), config), "qec"),
-                kind: "experiment",
-                experiment: Some("qec"),
-                render: Box::new(|out| match out.downcast::<QecResult>() {
-                    Some(result) => encode_qec(&result),
-                    None => Json::Null,
-                }),
-            })
+            Job::experiment(QecInjected::default(), config)
         }
-        other => Err(field_problem(
-            format!("unknown experiment '{other}' (expected allxy | qec)"),
-            "experiment",
-        )),
-    }
+        other => {
+            return Err(field_problem(
+                format!("unknown experiment '{other}' (expected allxy | qec)"),
+                "experiment",
+            ))
+        }
+    };
+    // Experiment configs are typed per experiment, so the spec carries
+    // the whole submission document as an opaque payload; recovery hands
+    // it back to `parse_submission` to rebuild the job.
+    Ok(job.with_spec(JobSpec::Opaque {
+        tag: name.to_string(),
+        payload: doc.encode().into_bytes(),
+    }))
 }
 
-/// The render closure recovery installs for a resumed (or
-/// journal-served) job of `kind` — the same encodings
-/// [`parse_submission`] installs at first submission, so a result served
-/// after a restart is byte-identical to the one served before it.
-pub(crate) fn render_for_kind(kind: &str) -> Box<dyn FnOnce(JobOutput) -> Json + Send> {
-    match kind {
-        "shots" => Box::new(|out| match out {
-            JobOutput::Batch(batch) => encode_batch(&batch),
-            other => render_mismatch("batch", &other),
-        }),
-        _ => Box::new(|out| match out {
-            JobOutput::Reports(reports) => encode_reports(&reports),
-            other => render_mismatch("reports", &other),
-        }),
+/// Encodes a finished job's output as its result document — the one
+/// encoder for fresh, resumed and journal-served results alike, so a
+/// result served after a restart is byte-identical to the one served
+/// before it.
+pub(crate) fn encode_output(output: JobOutput) -> Json {
+    match output {
+        JobOutput::Batch(batch) => encode_batch(&batch),
+        JobOutput::Reports(reports) => encode_reports(&reports),
+        JobOutput::Experiment(any) => match any.downcast::<AllxyResult>() {
+            Ok(result) => encode_allxy(&result),
+            Err(any) => any
+                .downcast::<QecResult>()
+                .map_or(Json::Null, |result| encode_qec(&result)),
+        },
     }
-}
-
-fn render_mismatch(expected: &str, got: &JobOutput) -> Json {
-    Json::obj([
-        ("error", Json::str("output kind mismatch")),
-        ("expected", Json::str(expected.to_string())),
-        ("got", Json::str(format!("{got:?}"))),
-    ])
 }
 
 /// Encodes one shot record. The triple (`registers`, `md_results`,

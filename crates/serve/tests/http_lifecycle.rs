@@ -507,3 +507,53 @@ fn metrics_and_version_headers_are_served() {
         .starts_with("text/plain"));
     server.shutdown();
 }
+
+#[test]
+fn a_repeated_source_reports_a_cache_hit() {
+    let server = serve(1, ServerConfig::new());
+    let mut client = MiniClient::connect(server.local_addr(), "cache");
+    let cache_hit = |status: &Json| {
+        status
+            .get("metrics")
+            .and_then(|m| m.get("cache_hit"))
+            .and_then(Json::as_bool)
+    };
+    let first = submit_ok(&mut client, &shots_doc(1));
+    let first = client.wait_for(first, Duration::from_millis(5)).unwrap();
+    assert_eq!(cache_hit(&first), Some(false), "the first lookup assembles");
+    let second = submit_ok(&mut client, &shots_doc(1));
+    let second = client.wait_for(second, Duration::from_millis(5)).unwrap();
+    assert_eq!(cache_hit(&second), Some(true), "the second one hits");
+    server.shutdown();
+}
+
+#[test]
+fn a_sweep_point_that_fails_to_assemble_is_named() {
+    let server = serve(1, ServerConfig::new());
+    let mut client = MiniClient::connect(server.local_addr(), "sweep");
+    let point = |source: &str| {
+        Json::obj([
+            ("source", Json::str(source.to_string())),
+            (
+                "seeds",
+                Json::obj([("chip", Json::Int(1)), ("jitter", Json::Int(2))]),
+            ),
+        ])
+    };
+    let doc = Json::obj([
+        ("kind", Json::str("sweep")),
+        (
+            "points",
+            Json::Arr(vec![point(SEGMENT), point("Frobnicate q0\n")]),
+        ),
+    ]);
+    let response = client.post_json("/jobs", &doc).unwrap();
+    assert_eq!(response.status, 422, "{}", response.text());
+    let problem = response.json().unwrap();
+    let detail = problem.get("detail").and_then(Json::as_str).unwrap();
+    assert!(detail.starts_with("assembly rejected: "), "{detail}");
+    let context = problem.get("context").unwrap();
+    assert_eq!(context.get("path").and_then(Json::as_str), Some("source"));
+    assert_eq!(context.get("point").and_then(Json::as_u64), Some(1));
+    server.shutdown();
+}

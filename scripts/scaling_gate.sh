@@ -24,6 +24,12 @@
 #     "low_confidence":true) — give heavy groups a bigger budget via
 #     QUMA_BENCH_BUDGET_MS__<group> instead of gating on noise.
 #
+# Next to the serve, journal and obs ratios the gate prints the absolute
+# tax in µs per job ((point − multi_client) / CLIENTS): a faster engine
+# shrinks the denominator and inflates a fixed per-job cost's ratio, so
+# the absolute number says whether the tax itself moved. Informational
+# only; it never fails the gate.
+#
 # On a single-core runner the engine clamps workers to 1, so "parallel
 # beats sequential" degenerates to "parallel dispatch costs nothing";
 # the allowance widens to a tie-plus-noise band there.
@@ -103,6 +109,22 @@ check_ratio() {
   }' || fail=1
 }
 
+# Jobs per iteration of the multi-client points (CLIENTS in both the
+# pool_throughput and serve_throughput benches).
+JOBS_PER_ITER=16
+
+# print_tax <label> <point_ns> <base_ns>: prints (point − base) / JOBS_PER_ITER
+# in µs per job; never touches `fail`.
+print_tax() {
+  local label="$1" num="$2" den="$3"
+  if [ -z "$num" ] || [ -z "$den" ]; then
+    return
+  fi
+  awk -v n="$num" -v d="$den" -v j="$JOBS_PER_ITER" -v l="$label" 'BEGIN {
+    printf("scaling gate: %-40s %+.1f us/job\n", l, (n - d) / j / 1000)
+  }'
+}
+
 echo "scaling gate: $cores core(s), parallel allowance ${PAR_ALLOWANCE}x, pool speedup >= ${MIN_POOL_SPEEDUP}x, serve allowance ${SERVE_ALLOWANCE}x, journal allowance ${JOURNAL_ALLOWANCE}x, obs allowance ${OBS_ALLOWANCE}x"
 
 for d in 3 5; do
@@ -127,14 +149,17 @@ fi
 check_point "serve_throughput/served_multi_client"
 served_ns="$(median_ns "serve_throughput/served_multi_client")"
 check_ratio "served_multi_client vs multi_client" "$served_ns" "$multi_ns" "$SERVE_ALLOWANCE"
+print_tax "serve tax" "$served_ns" "$multi_ns"
 
 check_point "pool_throughput/multi_client_journaled"
 journaled_ns="$(median_ns "pool_throughput/multi_client_journaled")"
 check_ratio "multi_client_journaled vs multi_client" "$journaled_ns" "$multi_ns" "$JOURNAL_ALLOWANCE"
+print_tax "journal tax" "$journaled_ns" "$multi_ns"
 
 check_point "pool_throughput/obs_overhead"
 obs_ns="$(median_ns "pool_throughput/obs_overhead")"
 check_ratio "obs_overhead vs multi_client" "$obs_ns" "$multi_ns" "$OBS_ALLOWANCE"
+print_tax "observability tax" "$obs_ns" "$multi_ns"
 
 if [ "$fail" -ne 0 ]; then
   echo "scaling gate: FAILED" >&2
