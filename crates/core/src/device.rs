@@ -68,7 +68,8 @@ pub struct RunStats {
 pub struct RunReport {
     /// Final register values.
     pub registers: [i32; quma_isa::reg::NUM_REGS],
-    /// Final data memory.
+    /// Final data memory: the words up to the highest one written (empty
+    /// when the program never stores); every later word is 0.
     pub memory: Vec<i32>,
     /// Data-collection averages `S̄_i`, per qubit.
     pub collector_averages: Vec<Vec<f64>>,
@@ -296,7 +297,7 @@ impl Device {
             // --- Deterministic domain: advance T_D to `cycle`. ----------
             self.backend.advance_deterministic(cycle, &self.config)?;
             // --- Write-backs due now cross back to the scoreboard. ------
-            for (rd, value) in self.backend.apply_writebacks(cycle, &self.config)? {
+            for (rd, value) in self.backend.apply_writebacks(cycle)? {
                 self.frontend.complete_pending(rd, value);
             }
             // --- Non-deterministic domain. ------------------------------
@@ -364,7 +365,7 @@ impl Device {
         }
         RunReport {
             registers,
-            memory: self.frontend.exec().memory().to_vec(),
+            memory: self.frontend.exec().written_memory().to_vec(),
             collector_averages: self.backend.collector_averages(),
             md_results: self.backend.take_md_results(),
             stats: RunStats {

@@ -87,6 +87,9 @@ pub struct ExecutionController {
     pc: u32,
     rf: RegisterFile,
     mem: Vec<i32>,
+    /// One past the highest data-memory word written since `load`: every
+    /// word from here on is 0.
+    mem_hwm: usize,
     /// In-flight result count per register (scoreboard).
     pending: [u16; NUM_REGS],
     halted: bool,
@@ -105,6 +108,7 @@ impl ExecutionController {
             pc: 0,
             rf: RegisterFile::new(),
             mem: vec![0; mem_words],
+            mem_hwm: 0,
             pending: [0; NUM_REGS],
             halted: true,
             next_ready: 0,
@@ -126,7 +130,8 @@ impl ExecutionController {
         self.program = program.instructions().to_vec();
         self.pc = 0;
         self.rf = RegisterFile::new();
-        self.mem.fill(0);
+        self.mem[..self.mem_hwm].fill(0);
+        self.mem_hwm = 0;
         self.pending = [0; NUM_REGS];
         self.halted = self.program.is_empty();
         self.next_ready = 0;
@@ -141,6 +146,12 @@ impl ExecutionController {
     /// Data memory contents.
     pub fn memory(&self) -> &[i32] {
         &self.mem
+    }
+
+    /// Data memory up to the highest word written since the program was
+    /// loaded (empty when nothing was stored); every later word is 0.
+    pub(crate) fn written_memory(&self) -> &[i32] {
+        &self.mem[..self.mem_hwm]
     }
 
     /// Statistics.
@@ -311,6 +322,7 @@ impl ExecutionController {
                         size: self.mem.len(),
                     })?;
                 self.mem[idx] = self.rf.read(*rs);
+                self.mem_hwm = self.mem_hwm.max(idx + 1);
                 StepOutcome::RetiredClassical
             }
             Instruction::Beq { rs, rt, target } => {
@@ -369,9 +381,14 @@ mod tests {
     }
 
     fn run_classical(src: &str) -> ExecutionController {
-        let prog = Assembler::new().assemble(src).unwrap();
         let mut ec = controller();
-        ec.load(&prog);
+        run_on(&mut ec, src);
+        ec
+    }
+
+    /// Loads `src` on `ec` and steps it to the halt.
+    fn run_on(ec: &mut ExecutionController, src: &str) {
+        ec.load(&Assembler::new().assemble(src).unwrap());
         let mut cycle = 0u64;
         while !ec.halted() {
             match ec.step(cycle, usize::MAX).unwrap() {
@@ -380,7 +397,6 @@ mod tests {
             }
             assert!(cycle < 1_000_000, "runaway program");
         }
-        ec
     }
 
     #[test]
@@ -536,6 +552,27 @@ mod tests {
         let (r_jit, c_jit) = run(7, 99);
         assert_eq!(r_nojit, r_jit);
         assert!(c_jit > c_nojit, "jitter must slow execution down");
+    }
+
+    #[test]
+    fn written_memory_ends_at_the_highest_store() {
+        let ec = run_classical("mov r1, 3\nmov r2, 4\nhalt");
+        assert!(ec.written_memory().is_empty(), "no store, no words");
+
+        let mut ec = run_classical("mov r1, 9\nmov r2, 40\nstore r1, r2[2]\nstore r1, r2[0]\nhalt");
+        assert_eq!(
+            ec.written_memory().len(),
+            43,
+            "a store at word 42 gives 43 words"
+        );
+        assert_eq!(ec.written_memory(), &ec.memory()[..43]);
+        assert_eq!(ec.memory()[42], 9);
+
+        // A second run on the same controller starts from zeroed memory.
+        run_on(&mut ec, "mov r2, 40\nload r3, r2[2]\nhalt");
+        assert_eq!(ec.registers().read(Reg::r(3)), 0);
+        assert!(ec.memory().iter().all(|&w| w == 0));
+        assert!(ec.written_memory().is_empty());
     }
 
     #[test]

@@ -13,18 +13,18 @@ use crate::ctpg::{Ctpg, PulseLibraryBuilder};
 use crate::device::{DeviceError, MdRecord};
 use crate::digital_out::DigitalOutputUnit;
 use crate::event::Event;
-use crate::mdu::MeasurementDiscriminationUnit;
+use crate::mdu::{Discrimination, MeasurementDiscriminationUnit};
 use crate::timing::{TimingControlUnit, TimingStats};
 use crate::trace::{Trace, TraceKind, TraceLevel};
 use crate::uop_unit::{seq_z, MicroOpUnit};
 use quma_isa::prelude::Reg;
 use quma_qsim::chip::{ChipBackend, QuantumChip};
-use quma_qsim::resonator::{ReadoutParams, ReadoutTrace};
+use quma_qsim::resonator::ReadoutParams;
 use quma_qsim::stabilizer::StabilizerChip;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A chip-facing action with its effect cycle, ordered before execution.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum ChipAction {
     Drive {
         qubit: usize,
@@ -38,8 +38,7 @@ enum ChipAction {
         at: u64,
     },
     Cz {
-        a: usize,
-        b: usize,
+        pair: [usize; 2],
         at: u64,
     },
 }
@@ -70,11 +69,15 @@ pub struct Backend {
     uop_units: Vec<MicroOpUnit>,
     ctpgs: Vec<Ctpg>,
     chip: Box<dyn ChipBackend>,
-    /// Per-qubit MDU calibration cache, keyed by integration duration and
-    /// tagged with the readout parameters it was calibrated against (a
-    /// parameter change between batches invalidates the entry).
-    mdus: Vec<HashMap<u32, (ReadoutParams, MeasurementDiscriminationUnit)>>,
-    latched: Vec<Option<(ReadoutTrace, u32)>>,
+    /// Calibrated MDUs, one per readout chain and integration window (in
+    /// cycles) in use: qubits with identical readout chains share one.
+    mdus: Vec<(ReadoutParams, u32, MeasurementDiscriminationUnit)>,
+    /// Per qubit, the discrimination of its latest measurement pulse and
+    /// that pulse's duration in cycles, awaiting its MD write-back.
+    latched: Vec<Option<(Discrimination, u32)>>,
+    /// Chip actions of one `advance_deterministic` call, reused across
+    /// calls.
+    actions: Vec<ChipAction>,
     collectors: Vec<DataCollector>,
     digital_out: DigitalOutputUnit,
     writebacks: BTreeMap<u64, Vec<Writeback>>,
@@ -112,8 +115,9 @@ impl Backend {
             uop_units: Vec::new(),
             ctpgs: Vec::new(),
             chip,
-            mdus: vec![HashMap::new(); config.num_qubits],
+            mdus: Vec::new(),
             latched: vec![None; config.num_qubits],
+            actions: Vec::new(),
             collectors: (0..config.num_qubits)
                 .map(|_| DataCollector::new(config.collector_k))
                 .collect(),
@@ -266,7 +270,8 @@ impl Backend {
         let target_td = cycle.saturating_sub(start);
         let delta = target_td.saturating_sub(self.tcu.td());
         let fired = self.tcu.advance(delta);
-        let mut actions: Vec<ChipAction> = Vec::new();
+        let mut actions = std::mem::take(&mut self.actions);
+        actions.clear();
         let mut last_label = None;
         for ev in fired {
             if last_label != Some(ev.label) {
@@ -278,14 +283,13 @@ impl Backend {
                 Event::Pulse { qubits, uop } if uop.raw() == crate::microcode::UOP_CZ => {
                     // Two-qubit flux path: the CZ pulse goes to the shared
                     // flux-bias line, not through the per-qubit µ-op units.
-                    let qs: Vec<usize> = qubits.iter().collect();
-                    let [a, b] = qs.as_slice() else {
+                    let mut qs = qubits.iter();
+                    let (Some(a), Some(b), None) = (qs.next(), qs.next(), qs.next()) else {
                         return Err(DeviceError::CzArity { qubits, td: ev.td });
                     };
                     self.trace.record(ev.td, TraceKind::FluxPulse { qubits });
                     actions.push(ChipAction::Cz {
-                        a: *a,
-                        b: *b,
+                        pair: [a, b],
                         at: start + ev.td + u64::from(config.ctpg_delay_cycles),
                     });
                 }
@@ -322,10 +326,11 @@ impl Backend {
                 Event::Md { qubits, rd } => {
                     self.trace.record(ev.td, TraceKind::MdStart { qubits });
                     for q in qubits.iter() {
-                        // Discrimination runs when the integration window
+                        // The result lands when the integration window
                         // (opened by the matching MPG at the same label)
                         // closes; defer via the writeback schedule. The
-                        // latched trace is bound at completion time.
+                        // latched discrimination is bound at completion
+                        // time.
                         let (duration, _) = match &self.latched[q] {
                             Some((_, d)) => ((*d), ()),
                             None => {
@@ -393,13 +398,15 @@ impl Backend {
         }
         // Apply chip actions in chronological order.
         actions.sort_by_key(ChipAction::at);
-        for action in actions {
-            let (touched, at): (Vec<usize>, u64) = match &action {
-                ChipAction::Drive { qubit, at, .. } => (vec![*qubit], *at),
-                ChipAction::Measure { qubit, at, .. } => (vec![*qubit], *at),
-                ChipAction::Cz { a, b, at } => (vec![*a, *b], *at),
+        for action in actions.drain(..) {
+            let touched: &[usize] = match &action {
+                ChipAction::Drive { qubit, .. } | ChipAction::Measure { qubit, .. } => {
+                    std::slice::from_ref(qubit)
+                }
+                ChipAction::Cz { pair, .. } => pair,
             };
-            for &qubit in &touched {
+            let at = action.at();
+            for &qubit in touched {
                 if at < self.last_chip_cycle[qubit] {
                     return Err(DeviceError::ChronologyViolation {
                         qubit,
@@ -435,10 +442,20 @@ impl Backend {
                     self.measurements += 1;
                     let t0 = at as f64 * config.cycle_time;
                     let dur = f64::from(duration_cycles) * config.cycle_time;
-                    let trace = self.chip.measure(qubit, t0, dur);
-                    self.latched[qubit] = Some((trace, duration_cycles));
+                    // The MDU integrates the signal as the chip produces
+                    // it; only the 16-byte result waits for the MD.
+                    let mdu = mdu_for(
+                        &mut self.mdus,
+                        self.chip.as_ref(),
+                        qubit,
+                        duration_cycles,
+                        config,
+                    );
+                    let (outcome, mut noise) = self.chip.project(qubit, t0, dur);
+                    let d = mdu.acquire(outcome, || noise.draw());
+                    self.latched[qubit] = Some((d, duration_cycles));
                 }
-                ChipAction::Cz { a, b, at } => {
+                ChipAction::Cz { pair: [a, b], at } => {
                     let t0 = at as f64 * config.cycle_time;
                     // The paper quotes ~40 ns (8 cycles) for CZ flux pulses.
                     let dur = 8.0 * config.cycle_time;
@@ -446,36 +463,29 @@ impl Backend {
                 }
             }
         }
+        self.actions = actions;
         Ok(())
     }
 
-    /// Completes every write-back due by `cycle`: binds the latched trace,
-    /// runs the MDU, records collector and trace entries, and returns the
-    /// `(register, value)` completions that must cross back to the
+    /// Completes every write-back due by `cycle`: binds the latched
+    /// discrimination, records collector and trace entries, and returns
+    /// the `(register, value)` completions that must cross back to the
     /// frontend's scoreboard.
-    pub fn apply_writebacks(
-        &mut self,
-        cycle: u64,
-        config: &DeviceConfig,
-    ) -> Result<Vec<(Reg, i32)>, DeviceError> {
+    pub fn apply_writebacks(&mut self, cycle: u64) -> Result<Vec<(Reg, i32)>, DeviceError> {
         let due: Vec<u64> = self.writebacks.range(..=cycle).map(|(&c, _)| c).collect();
         let mut completions = Vec::new();
         for c in due {
             let wbs = self.writebacks.remove(&c).expect("key exists");
             for mut wb in wbs {
-                // Bind the latched trace now: the integration window has
+                // Bind the latched result now: the integration window has
                 // closed.
                 let start = self.td_start.unwrap_or(0);
-                let (trace, duration) =
-                    self.latched[wb.qubit]
-                        .take()
-                        .ok_or(DeviceError::MdWithoutMpg {
-                            qubit: wb.qubit,
-                            td: c.saturating_sub(start),
-                        })?;
-                let mdu = self.mdu_for(wb.qubit, duration, config);
-                mdu.latch_trace(trace);
-                let d = mdu.discriminate().expect("trace latched above");
+                let (d, _) = self.latched[wb.qubit]
+                    .take()
+                    .ok_or(DeviceError::MdWithoutMpg {
+                        qubit: wb.qubit,
+                        td: c.saturating_sub(start),
+                    })?;
                 wb.bit = d.bit;
                 wb.s = d.s;
                 let td = c.saturating_sub(start);
@@ -501,29 +511,6 @@ impl Backend {
             }
         }
         Ok(completions)
-    }
-
-    fn mdu_for(
-        &mut self,
-        qubit: usize,
-        duration_cycles: u32,
-        config: &DeviceConfig,
-    ) -> &mut MeasurementDiscriminationUnit {
-        let readout = self.chip.qubit(qubit).readout.clone();
-        let integration = f64::from(duration_cycles) * config.cycle_time;
-        let latency = config.mdu_latency_cycles;
-        let entry = self.mdus[qubit].entry(duration_cycles).or_insert_with(|| {
-            let mdu = MeasurementDiscriminationUnit::calibrate(&readout, integration, latency);
-            (readout.clone(), mdu)
-        });
-        // The readout chain may have been retuned between batches (e.g.
-        // noise injection through `device_mut`); a stale calibration would
-        // silently diverge from what a fresh device computes.
-        if entry.0 != readout {
-            entry.1 = MeasurementDiscriminationUnit::calibrate(&readout, integration, latency);
-            entry.0 = readout;
-        }
-        &mut entry.1
     }
 
     /// Final deterministic-domain time.
@@ -568,5 +555,69 @@ impl Backend {
     /// given level.
     pub fn take_trace(&mut self, level: TraceLevel) -> Trace {
         std::mem::replace(&mut self.trace, Trace::new(level))
+    }
+}
+
+/// The MDU for `qubit`'s readout chain and a `duration_cycles` window,
+/// calibrated on first use and kept across shots and runs.
+fn mdu_for<'a>(
+    mdus: &'a mut Vec<(ReadoutParams, u32, MeasurementDiscriminationUnit)>,
+    chip: &dyn ChipBackend,
+    qubit: usize,
+    duration_cycles: u32,
+    config: &DeviceConfig,
+) -> &'a mut MeasurementDiscriminationUnit {
+    let readout = &chip.qubit(qubit).readout;
+    let found = mdus
+        .iter()
+        .position(|(chain, window, _)| *window == duration_cycles && chain == readout);
+    let i = match found {
+        Some(i) => i,
+        None => {
+            // A readout chain retuned between batches (e.g. noise injection
+            // through `device_mut`) strands its old calibrations; drop
+            // every one no qubit's chain matches any more.
+            let qubits = chip.num_qubits();
+            mdus.retain(|(chain, _, _)| (0..qubits).any(|q| chip.qubit(q).readout == *chain));
+            let integration = f64::from(duration_cycles) * config.cycle_time;
+            let latency = config.mdu_latency_cycles;
+            let mdu = MeasurementDiscriminationUnit::calibrate(readout, integration, latency);
+            mdus.push((readout.clone(), duration_cycles, mdu));
+            mdus.len() - 1
+        }
+    };
+    &mut mdus[i].2
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn qubits_on_one_readout_chain_share_an_mdu_until_retuned() {
+        let config = DeviceConfig::default();
+        let mut chip = QuantumChip::ideal_device(3, 1);
+        let mut mdus = Vec::new();
+        mdu_for(&mut mdus, &chip, 0, 300, &config);
+        mdu_for(&mut mdus, &chip, 2, 300, &config);
+        assert_eq!(mdus.len(), 1, "one chain, one window");
+        mdu_for(&mut mdus, &chip, 1, 100, &config);
+        assert_eq!(mdus.len(), 2, "a second window");
+
+        chip.qubit_mut(0).readout.noise_sigma = 0.3;
+        mdu_for(&mut mdus, &chip, 0, 300, &config);
+        assert_eq!(mdus.len(), 3, "qubits 1 and 2 keep the old chain");
+
+        for q in 1..3 {
+            chip.qubit_mut(q).readout.noise_sigma = 0.3;
+        }
+        mdu_for(&mut mdus, &chip, 1, 100, &config);
+        let windows: Vec<u32> = mdus.iter().map(|(_, w, _)| *w).collect();
+        assert_eq!(
+            windows,
+            [300, 100],
+            "the old chain's calibrations are dropped"
+        );
+        assert!(mdus.iter().all(|(chain, _, _)| chain.noise_sigma == 0.3));
     }
 }

@@ -4,9 +4,10 @@
 //!
 //! The chip is the boundary of the QuMA simulation: the control box sends
 //! it DAC sample streams (gate pulses) and measurement-pulse triggers, and
-//! receives heterodyne readout traces in return. All randomness (projection
-//! noise, readout noise) is drawn from a seedable RNG so whole experiments
-//! are reproducible.
+//! receives the projected outcome with its readout noise in return — from
+//! which the MDU integrates, or [`ChipBackend::measure`] synthesizes the
+//! heterodyne trace. All randomness (projection noise, readout noise) is
+//! drawn from a seedable RNG so whole experiments are reproducible.
 //!
 //! ## Joint registers along the coupling chain
 //!
@@ -341,60 +342,6 @@ impl QuantumChip {
         }
     }
 
-    /// Plays a measurement pulse on qubit `id` at lab time `start` for
-    /// `duration` seconds: projects the qubit and returns the heterodyne
-    /// trace the ADCs would digitize.
-    pub fn measure(&mut self, id: QubitId, start: f64, duration: f64) -> ReadoutTrace {
-        self.measure_with_truth(id, start, duration).0
-    }
-
-    /// Like [`Self::measure`] but also reports the projected outcome, for
-    /// tests that want ground truth alongside the analog trace.
-    ///
-    /// When `id` belongs to a joint register, the projection factors it
-    /// out exactly: the qubit returns to single-qubit evolution (its
-    /// transmon holds the post-measurement state) and the register
-    /// shrinks — dissolving entirely when only one member remains.
-    pub fn measure_with_truth(
-        &mut self,
-        id: QubitId,
-        start: f64,
-        duration: f64,
-    ) -> (ReadoutTrace, u8) {
-        self.measurements += 1;
-        let u: f64 = self.rng.random();
-        let outcome = match self.membership[id] {
-            None => {
-                let q = &mut self.qubits[id];
-                q.transmon.idle_until(start);
-                let outcome = q.transmon.project_with(u);
-                // Readout takes `duration`; the qubit idles (and decoheres)
-                // during it.
-                q.transmon.idle_until(start + duration);
-                outcome
-            }
-            Some(j) => {
-                self.joint_idle(j, start);
-                let slot = self.slot_of(j, id);
-                let outcome = u8::from(u < self.joints[j].state.p1_of(slot));
-                self.joints[j].state.project(slot, outcome);
-                self.split_out(j, id, start);
-                self.qubits[id].transmon.idle_until(start + duration);
-                // Everything else — the remnant register included —
-                // idles *lazily* at its next operation: eagerly pushing
-                // other clocks to `start + duration` here would apply
-                // readout-window decoherence before operations that start
-                // inside the window (e.g. the second measurement of a
-                // simultaneous syndrome fanout at this same `start`).
-                outcome
-            }
-        };
-        let readout = self.qubits[id].readout.clone();
-        let mut gauss = GaussianSource::new(&mut self.rng);
-        let trace = synthesize_trace(&readout, outcome, duration, || gauss.next());
-        (trace, outcome)
-    }
-
     /// Returns the just-projected qubit `id` from register `j` to
     /// single-qubit evolution at lab time `at`; dissolves the register
     /// when one member remains. Exact because the post-projection state
@@ -417,18 +364,25 @@ impl QuantumChip {
 }
 
 /// The chip-simulation boundary the control pipeline drives: DAC sample
-/// streams and measurement triggers in, heterodyne readout traces out.
+/// streams and measurement triggers in, readout outcomes and their noise
+/// out.
 ///
 /// `quma-core`'s deterministic backend holds a `Box<dyn ChipBackend>` so
 /// the device profile can select the physics engine: the exact
 /// state-vector [`QuantumChip`] (any circuit, `O(4^k)` per coupled
 /// register) or the polynomial-time
-/// [`crate::stabilizer::StabilizerChip`] (Clifford circuits only). Every
-/// implementation must consume its seeded RNG in the same order — one
-/// uniform draw per projection, then one Gaussian per trace sample — so
-/// seeded shots replay bit-identically across backends; new backends are
-/// pinned to that contract by a differential test suite against the
-/// exact chip (see `CONTRIBUTING.md`).
+/// [`crate::stabilizer::StabilizerChip`] (Clifford circuits only).
+///
+/// A backend implements measurement as one method, [`Self::project`]: it
+/// draws one uniform from its seeded RNG for the projection and hands back
+/// the outcome with a [`NoiseStream`] over the same RNG. Trace synthesis
+/// is shared: the provided [`Self::measure`] / [`Self::measure_with_truth`]
+/// run [`synthesize_trace`] over that stream, and the device's MDU
+/// integrates straight from it without building a trace. Either way the
+/// RNG order — one uniform per projection, then one normal per trace
+/// sample — holds by construction, so seeded shots replay bit-identically
+/// across backends; new backends are pinned to the exact chip by a
+/// differential test suite (see `CONTRIBUTING.md`).
 pub trait ChipBackend: Send + std::fmt::Debug {
     /// Number of qubits on the device.
     fn num_qubits(&self) -> usize;
@@ -461,14 +415,26 @@ pub trait ChipBackend: Send + std::fmt::Debug {
     /// at absolute lab time `start` with sample period `dt`.
     fn drive(&mut self, id: QubitId, samples: &[C64], start: f64, dt: f64);
 
-    /// Plays a measurement pulse: projects the qubit and returns the
-    /// heterodyne trace the ADCs would digitize.
+    /// Plays a measurement pulse on qubit `id` at lab time `start` for
+    /// `duration` seconds: projects the qubit and returns the outcome with
+    /// the readout noise, one standard normal per sample of the
+    /// `duration`-long trace.
+    fn project(&mut self, id: QubitId, start: f64, duration: f64) -> (u8, NoiseStream<'_>);
+
+    /// Plays a measurement pulse and returns the heterodyne trace the
+    /// ADCs would digitize: [`Self::project`], then [`synthesize_trace`]
+    /// over its noise stream.
     fn measure(&mut self, id: QubitId, start: f64, duration: f64) -> ReadoutTrace {
         self.measure_with_truth(id, start, duration).0
     }
 
     /// Like [`Self::measure`] but also reports the projected outcome.
-    fn measure_with_truth(&mut self, id: QubitId, start: f64, duration: f64) -> (ReadoutTrace, u8);
+    fn measure_with_truth(&mut self, id: QubitId, start: f64, duration: f64) -> (ReadoutTrace, u8) {
+        let readout = self.qubit(id).readout.clone();
+        let (outcome, mut noise) = self.project(id, start, duration);
+        let trace = synthesize_trace(&readout, outcome, duration, || noise.draw());
+        (trace, outcome)
+    }
 
     /// Clones the backend behind the trait object (shot sharding clones
     /// whole devices).
@@ -518,12 +484,40 @@ impl ChipBackend for QuantumChip {
         QuantumChip::drive(self, id, samples, start, dt);
     }
 
-    fn measure(&mut self, id: QubitId, start: f64, duration: f64) -> ReadoutTrace {
-        QuantumChip::measure(self, id, start, duration)
-    }
-
-    fn measure_with_truth(&mut self, id: QubitId, start: f64, duration: f64) -> (ReadoutTrace, u8) {
-        QuantumChip::measure_with_truth(self, id, start, duration)
+    /// When `id` belongs to a joint register, the projection factors it
+    /// out exactly: the qubit returns to single-qubit evolution (its
+    /// transmon holds the post-measurement state) and the register
+    /// shrinks — dissolving entirely when only one member remains.
+    fn project(&mut self, id: QubitId, start: f64, duration: f64) -> (u8, NoiseStream<'_>) {
+        self.measurements += 1;
+        let u: f64 = self.rng.random();
+        let outcome = match self.membership[id] {
+            None => {
+                let q = &mut self.qubits[id];
+                q.transmon.idle_until(start);
+                let outcome = q.transmon.project_with(u);
+                // Readout takes `duration`; the qubit idles (and decoheres)
+                // during it.
+                q.transmon.idle_until(start + duration);
+                outcome
+            }
+            Some(j) => {
+                self.joint_idle(j, start);
+                let slot = self.slot_of(j, id);
+                let outcome = u8::from(u < self.joints[j].state.p1_of(slot));
+                self.joints[j].state.project(slot, outcome);
+                self.split_out(j, id, start);
+                self.qubits[id].transmon.idle_until(start + duration);
+                // Everything else — the remnant register included —
+                // idles *lazily* at its next operation: eagerly pushing
+                // other clocks to `start + duration` here would apply
+                // readout-window decoherence before operations that start
+                // inside the window (e.g. the second measurement of a
+                // simultaneous syndrome fanout at this same `start`).
+                outcome
+            }
+        };
+        (outcome, NoiseStream::new(&mut self.rng))
     }
 
     fn clone_box(&self) -> Box<dyn ChipBackend> {
@@ -531,20 +525,24 @@ impl ChipBackend for QuantumChip {
     }
 }
 
-/// Box–Muller standard-normal source over a borrowed RNG. The pair
-/// reference chip in `tests/chip_differential.rs` draws the same way, so
-/// both chips consume the RNG identically.
-pub(crate) struct GaussianSource<'a> {
+/// The readout noise of one measurement: standard normals drawn by
+/// Box–Muller from the chip's seeded RNG, two per pair of uniforms (the
+/// second is kept for the next draw). Only [`ChipBackend::project`] hands
+/// one out, so every consumer draws from the chip's RNG in the same order.
+/// The pair reference chip in `tests/chip_differential.rs` draws the same
+/// way, so both chips consume the RNG identically.
+pub struct NoiseStream<'a> {
     rng: &'a mut StdRng,
     cached: Option<f64>,
 }
 
-impl<'a> GaussianSource<'a> {
+impl<'a> NoiseStream<'a> {
     pub(crate) fn new(rng: &'a mut StdRng) -> Self {
         Self { rng, cached: None }
     }
 
-    pub(crate) fn next(&mut self) -> f64 {
+    /// The next standard-normal draw.
+    pub fn draw(&mut self) -> f64 {
         if let Some(v) = self.cached.take() {
             return v;
         }

@@ -43,7 +43,7 @@ pub mod twoqubit;
 
 /// Convenient re-exports of the most-used items.
 pub mod prelude {
-    pub use crate::chip::{ChipBackend, ChipQubit, QuantumChip, QubitId};
+    pub use crate::chip::{ChipBackend, ChipQubit, NoiseStream, QuantumChip, QubitId};
     pub use crate::clifford::{Clifford, CliffordGroup};
     pub use crate::complex::C64;
     pub use crate::gates::{

@@ -151,14 +151,15 @@ impl Discriminator {
     pub fn calibrate(params: &ReadoutParams, duration: f64) -> Self {
         let t0 = synthesize_trace(params, 0, duration, || 0.0);
         let t1 = synthesize_trace(params, 1, duration, || 0.0);
-        let weights: Vec<f64> = t1
-            .samples
-            .iter()
-            .zip(t0.samples.iter())
-            .map(|(a, b)| a - b)
-            .collect();
-        let s0 = integrate(&t0.samples, &weights);
-        let s1 = integrate(&t1.samples, &weights);
+        Self::from_templates(&t0.samples, &t1.samples)
+    }
+
+    /// Calibrates weights and threshold from the two noiseless traces
+    /// (`synthesize_trace` with zero noise) for states 0 and 1.
+    pub fn from_templates(t0: &[f64], t1: &[f64]) -> Self {
+        let weights: Vec<f64> = t1.iter().zip(t0.iter()).map(|(a, b)| a - b).collect();
+        let s0 = integrate(t0, &weights);
+        let s1 = integrate(t1, &weights);
         Self {
             weights,
             threshold: (s0 + s1) / 2.0,

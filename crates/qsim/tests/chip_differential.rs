@@ -5,7 +5,7 @@
 
 use pair_reference::PairReferenceChip;
 use proptest::prelude::*;
-use quma_qsim::chip::QuantumChip;
+use quma_qsim::chip::{ChipBackend, QuantumChip};
 use quma_qsim::complex::C64;
 use std::f64::consts::PI;
 
